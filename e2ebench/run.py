@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 e2ebench/run.py --workload power7-report --seconds 35 --trace 0
+    python3 e2ebench/run.py --workload power7-report --seconds 30 --trace 0
 
 Builds cats_e2e (e2ebench/CMakeLists.txt) into .bench_build/, then runs
 passes of the workload, one process each, for --seconds seconds. With
@@ -34,13 +34,17 @@ BUILD = os.path.join(ROOT, ".bench_build")
 CMAKE_DIR = os.path.join(BUILD, "cmake")
 WORK = os.path.join(BUILD, "work")
 EXE = os.path.join(CMAKE_DIR, "cats_e2e")
+# The committed zero-wall digests of the size-7 report, made with the
+# sources this benchmark was written against.
+EXPECTED = os.path.join(HERE, "power7-expected.txt")
 
 WORKLOADS = ["power7-report", "internal6-cat", "power7-campaign"]
 DEFAULT_SEED = 1
 MAX_WORKERS = 4
-# Set-up-only processes per end-to-end run, so setup_s has several samples
-# even when only one or two passes fit.
-SETUP_PROBES = 4
+# Set-up-only processes per end-to-end run, spread over the run between
+# passes, so setup_s is a median of many samples even when only one or two
+# passes fit.
+SETUP_PROBES = 24
 
 END_TO_END = [("wall_s", "s"), ("setup_s", "s"), ("tests_per_s", "1/s"),
               ("peak_rss_mb", "MB")]
@@ -118,7 +122,7 @@ def reference(workers):
     """The naive-backend digests of the size-7 report, made once per build."""
     with open(EXE, "rb") as f:
         tag = hashlib.sha256(f.read()).hexdigest()[:16]
-    path = os.path.join(BUILD, "reference-%s-w%d.txt" % (tag, workers))
+    path = os.path.join(BUILD, "reference-%s.txt" % tag)
     if not os.path.exists(path):
         for stale in glob.glob(os.path.join(BUILD, "reference-*")):
             os.remove(stale)
@@ -144,19 +148,25 @@ def high(values):
 
 
 def measure(workload, seed, seconds, trace, workers):
-    ref = reference(workers) if workload != "internal6-cat" else None
     args = ["trace" if trace else "pass", "--workload", workload,
             "--work", WORK, "--seed", str(seed), "--workers", str(workers)]
-    if ref:
-        args += ["--reference", ref]
+    if workload != "internal6-cat":
+        args += ["--reference", reference(workers), "--expected", EXPECTED]
     samples, attempted, failed, notes, env = [], 0, 0, [], {}
     start = time.monotonic()
     setups = []
-    for _ in range(0 if trace else SETUP_PROBES):
+    probes = 0 if trace else SETUP_PROBES
+
+    def probe():
         fresh_work()
         setups.append(run_child(["setup"] + args[1:])[2]["setup_s"])
+
     pass_seconds = 0.0
     while True:
+        # Keep the set-up probes level with the share of the run used so far.
+        due = probes * min(1.0, (time.monotonic() - start) / seconds)
+        while len(setups) < due:
+            probe()
         fresh_work()
         wall, maxrss, out = run_child(args)
         pass_seconds += wall
@@ -184,6 +194,8 @@ def measure(workload, seed, seconds, trace, workers):
         elapsed = time.monotonic() - start
         if elapsed + pass_seconds / len(samples) > seconds:
             break
+    while len(setups) < probes:
+        probe()
 
     names = PER_LAYER if trace else [n for n, _ in END_TO_END]
     metrics = {}
@@ -205,22 +217,6 @@ def measure(workload, seed, seconds, trace, workers):
             "metrics": metrics}, env
 
 
-def source_digest():
-    """A digest of the sources the benchmark builds, for checkouts that are
-    not git repositories."""
-    h = hashlib.sha256()
-    for top in ["CMakeLists.txt", "src", "models",
-                os.path.relpath(HERE, ROOT)]:
-        path = os.path.join(ROOT, top)
-        files = [path] if os.path.isfile(path) else sorted(
-            os.path.join(d, f) for d, _, fs in os.walk(path) for f in fs)
-        for name in files:
-            h.update(os.path.relpath(name, ROOT).encode())
-            with open(name, "rb") as f:
-                h.update(f.read())
-    return h.hexdigest()[:16]
-
-
 def git_commit():
     if not os.path.exists(os.path.join(ROOT, ".git")):
         return "none"
@@ -237,7 +233,7 @@ def main():
     parser.add_argument("--workload", required=True,
                         choices=WORKLOADS + ["all"])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=35)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args()
 
@@ -256,7 +252,7 @@ def main():
                                          bool(args.trace), workers)
 
     env.update({"nproc": nproc, "git_commit": git_commit(),
-                "source_digest": source_digest(), "seed": args.seed})
+                "seed": args.seed})
     print("env " + json.dumps(env, sort_keys=True))
     if len(workloads) == 1:
         result = results[workloads[0]]
