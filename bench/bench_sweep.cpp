@@ -106,14 +106,14 @@ struct Measurement {
   unsigned long long CandidatesConsistent = 0;
   unsigned long long MemoHits = 0;
   unsigned long long MemoMisses = 0;
-  /// Incremental-enumerator counters (judge.pruned.* / judge.symmetry.*):
+  /// Incremental-enumerator counters (judge.pruned.* /
+  /// judge.candidates_judged):
   /// the real prune rate is PrunedCandidates / CandidatesTotal — the
   /// fraction of the candidate space whose rejection was proven on a
   /// partial assignment and never materialized.
   unsigned long long PartialCuts = 0;
   unsigned long long PrunedCandidates = 0;
   unsigned long long CandidatesJudged = 0;
-  unsigned long long SymmetryReused = 0;
 };
 
 Measurement measure(unsigned Jobs, unsigned Repeats) {
@@ -155,7 +155,6 @@ Measurement measure(unsigned Jobs, unsigned Repeats) {
     M.PartialCuts = obs::counter("judge.pruned.partial").value();
     M.PrunedCandidates = obs::counter("judge.pruned.candidates").value();
     M.CandidatesJudged = obs::counter("judge.candidates_judged").value();
-    M.SymmetryReused = obs::counter("judge.symmetry.reused").value();
 
     if (Legacy != Shared || Legacy != SharedJ1 || Legacy != SharedNaive ||
         Legacy != SharedObs)
@@ -203,7 +202,6 @@ JsonValue toJson(const Measurement &M, unsigned Jobs, unsigned Repeats) {
   Counters.set("pruned_partial_cuts", M.PartialCuts);
   Counters.set("pruned_candidates", M.PrunedCandidates);
   Counters.set("candidates_judged", M.CandidatesJudged);
-  Counters.set("symmetry_reused", M.SymmetryReused);
   Counters.set("memo_hits", M.MemoHits);
   Counters.set("memo_misses", M.MemoMisses);
   Root.set("counters", std::move(Counters));
@@ -303,14 +301,14 @@ int main(int argc, char **argv) {
               (M.SweepSecondsJ1Obs / M.SweepSecondsJ1 - 1.0) * 100);
   std::printf("candidates: %llu enumerated, %llu consistent, "
               "%llu pruned on partial assignments (%.1f%% prune rate, "
-              "%llu cuts), %llu judged, %llu restituted by symmetry; "
+              "%llu cuts), %llu judged; "
               "memo: %llu hits / %llu misses\n",
               M.CandidatesTotal, M.CandidatesConsistent, M.PrunedCandidates,
               M.CandidatesTotal
                   ? 100.0 * static_cast<double>(M.PrunedCandidates) /
                         static_cast<double>(M.CandidatesTotal)
                   : 0.0,
-              M.PartialCuts, M.CandidatesJudged, M.SymmetryReused,
+              M.PartialCuts, M.CandidatesJudged,
               M.MemoHits, M.MemoMisses);
   std::printf("verdicts identical to legacy: %s\n",
               M.VerdictsMatch ? "yes" : "NO");

@@ -89,35 +89,31 @@ void forEachCandidate(const CompiledTest &Compiled,
                       const std::function<bool(const Candidate &)> &Fn);
 
 /// Which engine walks the candidate space behind simulateAll
-/// (docs/enumeration.md). All three produce identical verdicts and outcome
-/// sets; the differential harness (tests/differential.cpp) pins them to
-/// each other over the litmus catalogue and generated diy corpora.
+/// (docs/enumeration.md). Both produce byte-identical results; the
+/// differential harness (tests/differential.cpp) pins them to each other
+/// over the litmus catalogue and generated diy corpora.
 enum class JudgeBackend : uint8_t {
   /// Materialize every full candidate and judge it afterwards — the
-  /// reference semantics the other backends are checked against.
+  /// reference semantics the pruned backend is checked against.
   Naive,
   /// Incremental backtracking search (src/herd/Enumerator.cpp): commit
   /// rf then per-location coherence choices, prune a partial assignment
-  /// as soon as po-loc | com is cyclic, and enumerate only canonical
-  /// representatives of the thread-symmetry group with multiplicity
-  /// accounting. Byte-identical results to Naive; the default.
+  /// as soon as po-loc | com is cyclic, account the model-independent
+  /// tallies in closed form per rf choice, and judge each surviving leaf
+  /// once. Byte-identical results to Naive; the default.
   Pruned,
-  /// Pruned search plus the bounded outcome memo of src/bmc: candidates
-  /// whose outcome is already proven allowed under every model are not
-  /// re-judged. Verdicts and outcome sets stay exact; CandidatesAllowed
-  /// becomes a lower bound. Opt-in (--backend bmc).
-  Bmc,
 };
 
-/// Display/CLI name: "naive", "pruned", "bmc".
+/// Display/CLI name: "naive", "pruned".
 const char *judgeBackendName(JudgeBackend B);
 
 /// Parses a CLI backend name; returns false on unknown input.
 bool parseJudgeBackend(const std::string &Name, JudgeBackend &Out);
 
 /// Counters produced by one incremental-enumeration pass; flushed to the
-/// judge.pruned.* / judge.symmetry.* / judge.bmc.* metrics by
-/// MultiModelChecker::take (docs/observability.md).
+/// judge.pruned.* / judge.candidates_judged metrics by
+/// MultiModelChecker::take (docs/observability.md). JudgedCandidates +
+/// PrunedCandidates is exactly the pass's consistent-candidate count.
 struct EnumerationStats {
   /// Partial rf/co assignments abandoned mid-search on a po-loc | com
   /// cycle (each cut removes a whole subtree of candidates).
@@ -125,12 +121,8 @@ struct EnumerationStats {
   /// Consistent candidates never materialized because every completion
   /// was provably rejected by SC PER LOCATION (the pruned mass).
   unsigned long long PrunedCandidates = 0;
-  /// Canonical leaves actually judged by the models.
+  /// Leaves actually judged by the models.
   unsigned long long JudgedCandidates = 0;
-  /// Symmetric orbit images accounted without re-judging.
-  unsigned long long SymmetryReused = 0;
-  /// Leaves skipped by the bmc outcome memo (Bmc backend only).
-  unsigned long long BmcOutcomeHits = 0;
 };
 
 /// Accumulates per-model verdicts over a stream of candidates, computing
@@ -153,10 +145,10 @@ public:
   // Incremental-backend interface (src/herd/Enumerator.cpp)
   //
   // The pruned search never materializes full Candidates: it accounts the
-  // model-independent tallies in bulk (closed forms per rf choice), judges
-  // one scratch execution per canonical leaf, and replays the verdict over
-  // the leaf's symmetry orbit. A checker instance is driven either by
-  // feed() or by these calls, never both.
+  // model-independent tallies in bulk (closed forms per rf choice), then
+  // judges and accounts one scratch execution per surviving leaf. A
+  // checker instance is driven either by feed() or by these calls, never
+  // both.
   //===--------------------------------------------------------------------===//
 
   /// Adds \p N raw candidates to the shared total.
@@ -169,18 +161,16 @@ public:
 
   /// Records one model-independent consistent outcome. First sighting of
   /// a key pays the set insert and the final-condition evaluation; repeats
-  /// are a hash lookup (the note then also feeds accountImage).
+  /// are a hash lookup (the note then also feeds accountLeaf).
   void accountConsistentOutcome(const Outcome &O);
 
   unsigned long long consistentCount() const {
     return Result.CandidatesConsistent;
   }
 
-  size_t numModels() const { return Models.size(); }
-
   /// Checks \p Exe against every model; the returned buffer is owned by
   /// the checker and reused across calls. No accounting happens here —
-  /// pair with accountImage per orbit image.
+  /// pair each call with accountLeaf.
   ///
   /// The checks exploit the registry's model-strength forest
   /// (strongerModel): models are visited stronger-first, and a model whose
@@ -200,9 +190,12 @@ public:
   /// un-hinted one over the catalogue and the diy corpora.
   const std::vector<Verdict> &judge(const Execution &Exe, bool ScAllowed);
 
-  /// Accounts one candidate (an orbit image of a judged leaf) with the
-  /// verdicts of its canonical representative and its own outcome.
-  void accountImage(const std::vector<Verdict> &Verdicts, const Outcome &O);
+  /// Accounts the leaf \p Exe just judged with its \p Verdicts and its
+  /// outcome \p O, which must already have been recorded through
+  /// accountConsistentOutcome (the closed-form pass of the leaf's rf
+  /// covers its whole outcome cross product).
+  void accountLeaf(const std::vector<Verdict> &Verdicts, const Execution &Exe,
+                   const Outcome &O);
 
   /// Accounts \p N consistent candidates whose every coherence completion
   /// was pruned on a po-loc | com cycle: all of them are rejected by SC
@@ -271,19 +264,16 @@ private:
   std::vector<RefFormulation> RefPath;
   /// Incremental-path memo per distinct outcome key: whether the outcome
   /// satisfies the final condition, and which models (bit I = Models[I],
-  /// capped at 64) allowed some candidate with this outcome. accountImage
+  /// capped at 64) allowed some candidate with this outcome. accountLeaf
   /// only bumps counters and ORs the mask; take() reconstructs each
   /// model's AllowedOutcomes set and ConditionReachable flag from the
   /// notes in one ordered pass, so no per-leaf ordered-set inserts happen
   /// at all. feed() leaves the masks empty: the naive path stays the
   /// plain reference loop and take()'s reconstruction is then a no-op.
+  /// Only accountConsistentOutcome creates notes, together with the
+  /// outcome's ConsistentOutcomes insert.
   struct OutcomeNote {
     bool Satisfies = false;
-    /// Whether the outcome itself has been inserted into the shared
-    /// ConsistentOutcomes set. accountImage creates notes ahead of the
-    /// closed-form pass, so note existence alone does not imply set
-    /// membership.
-    bool InConsistentSet = false;
     unsigned long long AllowedMask = 0;
   };
   std::unordered_map<std::string, OutcomeNote> OutcomeNotes;
@@ -302,14 +292,10 @@ private:
     Axiom KillAxiom = Axiom::ScPerLocation;
   };
   std::vector<WitnessSlot> Slots;
-  /// The execution judgeImpl last checked; accountImage consumes it on
-  /// the first (identity) orbit image, whose outcome belongs to exactly
-  /// this execution. Null between leaves.
-  const Execution *PendingJudged = nullptr;
   bool HaveCut = false;
   Execution CutExe;
   std::vector<LabeledEdge> CutCycle;
-  /// feed()/accountImage capture body.
+  /// feed()/accountLeaf capture body.
   void captureWitness(size_t ModelIdx, const Verdict &V, const Execution &Exe,
                       const Outcome &O);
 };
@@ -319,8 +305,8 @@ struct SimulateOptions {
   JudgeBackend Backend = JudgeBackend::Pruned;
   /// Capture verdict witnesses (MultiSimulationResult::Witnesses). The
   /// capture piggybacks on the main pass; verdicts the pass never
-  /// materialized evidence for (pruned subtrees, bmc outcome hits) are
-  /// completed afterwards by a targeted naive walk.
+  /// materialized evidence for (pruned subtrees) are completed afterwards
+  /// by a targeted naive walk.
   bool Witness = false;
 };
 

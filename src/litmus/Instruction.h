@@ -160,17 +160,6 @@ struct Instruction {
     return Op == Opcode::Fence && (FenceName == "isync" || FenceName == "isb");
   }
 
-  /// Structural equality; the symmetry reduction uses it to detect
-  /// threads with literally identical code.
-  friend bool operator==(const Instruction &A, const Instruction &B) {
-    return A.Op == B.Op && A.Dst == B.Dst && A.Src1 == B.Src1 &&
-           A.Src2 == B.Src2 && A.Loc == B.Loc && A.AddrDep == B.AddrDep &&
-           A.FenceName == B.FenceName;
-  }
-  friend bool operator!=(const Instruction &A, const Instruction &B) {
-    return !(A == B);
-  }
-
   /// Renders in the pseudo-assembly syntax accepted by the parser.
   std::string toString() const;
 };

@@ -57,8 +57,8 @@ struct SweepOptions {
   /// above the hardware concurrency are clamped to it: sweep jobs are
   /// CPU-bound, so oversubscription only adds context switching.
   unsigned Jobs = 0;
-  /// Judging backend for every job (docs/enumeration.md). Pruned is
-  /// byte-identical to Naive; Bmc is opt-in (lower-bound allowed counts).
+  /// Judging backend for every job (docs/enumeration.md). Pruned, the
+  /// default, is byte-identical to Naive, the reference oracle.
   JudgeBackend Backend = JudgeBackend::Pruned;
   /// Capture per-(test, model) witnesses (docs/explain.md). Off by
   /// default: the report rendering is then byte-identical to a

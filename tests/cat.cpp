@@ -223,6 +223,14 @@ struct CrossCase {
   const char *NativeName; ///< registry name
 };
 
+/// gtest puts the printed parameter into each listed test name. Without
+/// this it dumps the struct's bytes, i.e. two string addresses that move
+/// with every build and every ASLR slide. The stem is already the case
+/// name, so only the native model is printed.
+void PrintTo(const CrossCase &Case, std::ostream *OS) {
+  *OS << Case.NativeName;
+}
+
 class CatCrossValidation : public ::testing::TestWithParam<CrossCase> {};
 
 TEST_P(CatCrossValidation, AgreesWithNativeModelOnCatalog) {

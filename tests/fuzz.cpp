@@ -347,8 +347,8 @@ TEST_P(FuzzDifferential, PrunedMatchesNaive) {
 }
 
 TEST_P(FuzzDifferential, PrunedMatchesNaiveWithDuplicatedThread) {
-  // Duplicating a thread forces a non-trivial symmetry group, so this
-  // variant stresses the canonical-orbit accounting specifically.
+  // Duplicating a thread yields programs with identical threads, a shape
+  // diy critical cycles never produce; they stay a naive-vs-pruned input.
   for (Arch Target : {Arch::Power, Arch::ARM}) {
     LitmusTest Test = randomTest(GetParam(), Target);
     Test.Threads.push_back(Test.Threads[0]);
