@@ -9,8 +9,6 @@
 #include "obs/Metrics.h"
 #include "support/StringUtils.h"
 
-#include <algorithm>
-
 using namespace cats;
 
 std::string Event::toString(const std::vector<std::string> &LocNames) const {
@@ -208,7 +206,7 @@ Relation Execution::comStar() const {
 }
 
 Relation Execution::modelMemo(
-    const void *Tag, unsigned Slot, MemoTier Tier,
+    const void *Tag, unsigned Slot,
     const std::function<Relation()> &Compute) const {
   if (!DerivedCacheEnabled)
     return Compute();
@@ -227,38 +225,13 @@ Relation Execution::modelMemo(
   Relation R = Compute();
   if (ModelCache.empty())
     ModelCache.reserve(48);
-  ModelCache.push_back(ModelCacheEntry{Tag, Slot, Tier, R});
+  ModelCache.push_back(ModelCacheEntry{Tag, Slot, R});
   return R;
 }
 
-void Execution::invalidateDerived(MemoTier Floor) const {
-  if (Floor == MemoTier::Static) {
-    Cache = DerivedCache();
-    ModelCache.clear();
-    return;
-  }
-  if (Floor == MemoTier::PerRf)
-    Cache.Rfe.reset();
-  // Co-dependent named slots go at either floor (a new rf also starts a
-  // fresh co walk). rdw and detour are formally co-dependent, but both are
-  // intersections with po-loc: when the memoized po-loc is empty they are
-  // empty under every rf/co and can survive — the common case for the diy
-  // critical-cycle corpora, where it keeps the hardware-model ppo fixpoint
-  // per-rf instead of per-candidate.
-  Cache.Fr.reset();
-  Cache.Com.reset();
-  Cache.Coe.reset();
-  Cache.Fre.reset();
-  Cache.ComStar.reset();
-  if (!(Cache.PoLoc && Cache.PoLoc->empty())) {
-    Cache.Rdw.reset();
-    Cache.Detour.reset();
-  }
-  ModelCache.erase(std::remove_if(ModelCache.begin(), ModelCache.end(),
-                                  [Floor](const ModelCacheEntry &E) {
-                                    return E.Tier >= Floor;
-                                  }),
-                   ModelCache.end());
+void Execution::clearDerived() const {
+  Cache = DerivedCache();
+  ModelCache.clear();
 }
 
 std::string Execution::toString() const {

@@ -30,21 +30,6 @@
 
 namespace cats {
 
-/// How long a memoized derived relation stays valid while the incremental
-/// enumerator mutates one scratch Execution in place (docs/enumeration.md).
-/// Tiers are ordered by volatility: invalidating at a tier drops every
-/// entry at that tier or above and keeps the cheaper ones.
-enum class MemoTier : unsigned char {
-  /// Depends only on the program structure (events, po, dependencies,
-  /// fences): valid across every rf/co assignment of the same test.
-  Static = 0,
-  /// Depends on rf but not co (e.g. rfe, the C++RA prop): valid while the
-  /// enumerator walks the coherence orders under one fixed rf.
-  PerRf = 1,
-  /// Depends on co (fr, com, the Power/ARM prop): valid for one candidate.
-  PerCo = 2,
-};
-
 /// Canonical fence names shared by the litmus layer, the native models and
 /// the cat interpreter builtins.
 namespace fence {
@@ -195,9 +180,8 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Enables memoization of the derived relations above (po-loc, fr, com,
-  /// the rf/co/fr splits, rdw, detour). Only call once the execution is
-  /// final: the cache is never invalidated, so mutating Po/Rf/Co/... after
-  /// enabling returns stale derived relations.
+  /// the rf/co/fr splits, rdw, detour). Mutating Po/Rf/Co/... after
+  /// enabling returns stale derived relations until clearDerived().
   ///
   /// The multi-model checker opts candidates in before judging them, so
   /// when N models are checked against one candidate the shared relations
@@ -211,24 +195,13 @@ public:
   /// implementations use this so e.g. the Power ppo fixpoint runs once per
   /// candidate even though both the axioms and prop need it. Transparent
   /// (no caching) while the derived cache is disabled.
-  ///
-  /// \p Tier declares when the entry goes stale (see invalidateDerived);
-  /// the tier-less overload assumes the most volatile tier (per-candidate),
-  /// which is always safe.
-  Relation modelMemo(const void *Tag, unsigned Slot, MemoTier Tier,
-                     const std::function<Relation()> &Compute) const;
   Relation modelMemo(const void *Tag, unsigned Slot,
-                     const std::function<Relation()> &Compute) const {
-    return modelMemo(Tag, Slot, MemoTier::PerCo, Compute);
-  }
+                     const std::function<Relation()> &Compute) const;
 
-  /// Drops every cached derived relation and model-memo entry at \p Floor
-  /// or a more volatile tier; entries below the floor survive. The
-  /// incremental enumerator calls this after mutating Rf (PerRf floor) or
-  /// Co (PerCo floor) on its scratch execution, so the program-structural
-  /// work (po-loc, static ppo/fences) is paid once per test while the
-  /// candidate-specific relations are recomputed exactly when needed.
-  void invalidateDerived(MemoTier Floor) const;
+  /// Drops every cached derived relation and model-memo entry: a memo
+  /// lives for one candidate. The incremental enumerator calls this after
+  /// each Rf or Co mutation of its scratch execution.
+  void clearDerived() const;
 
 private:
   std::vector<Event> Events;
@@ -247,7 +220,6 @@ private:
   struct ModelCacheEntry {
     const void *Tag;
     unsigned Slot;
-    MemoTier Tier;
     Relation Rel;
   };
   mutable std::vector<ModelCacheEntry> ModelCache;

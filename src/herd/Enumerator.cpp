@@ -92,8 +92,8 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
     for (EventId W : L.ProgramWrites)
       InitCo.set(L.InitWrite, W);
 
-  // One scratch execution, mutated in place and re-judged per leaf; the
-  // memo tiers keep whatever stays valid across the mutation.
+  // One scratch execution, mutated in place and re-judged per leaf; its
+  // memos are cleared on every mutation, so each lives for one candidate.
   Execution Scratch = Skel;
   Scratch.enableDerivedCache();
 
@@ -131,7 +131,7 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
       Cycle.push_back(E);
     }
     Scratch.Co = CoSoFar;
-    Scratch.invalidateDerived(MemoTier::PerCo);
+    Scratch.clearDerived();
     Checker.recordPruneCut(Scratch, std::move(Cycle));
   };
 
@@ -196,30 +196,11 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
       Scratch.Rf.set(RfVec[I], Reads[I]);
     for (EventId E = 0; E < N; ++E)
       Scratch.event(E).Val = C.EventVals[E];
-    Scratch.invalidateDerived(MemoTier::PerRf);
+    Scratch.clearDerived();
 
-    // Full SC graph at the rf level: po | rf plus the co/fr edges shared
-    // by every completion (init co-first; a read of the initial write
-    // fr-precedes every program write of its location). Each leaf below
-    // extends it with the branch locations' co and fr edges, which makes
-    // it exactly po | com — so the Lemma 4.1 SC verdict (acyclic(po |
-    // com)) falls out of one DFS on a graph the enumerator already
-    // maintains, with no com/fr rebuild per leaf.
-    Relation ScBase = Skel.Po | Scratch.Rf | InitCo;
-    for (size_t I = 0; I < Reads.size(); ++I) {
-      if (!Skel.event(RfVec[I]).IsInit)
-        continue;
-      const CoLocation &L = AllLocs[Skel.event(Reads[I]).Loc];
-      for (EventId W : L.ProgramWrites)
-        ScBase.set(Reads[I], W);
-    }
-    // Cyclic already at the rf level: every leaf is SC-forbidden (their
-    // graphs are supergraphs), no per-leaf DFS needed either way.
-    const bool ScBaseAcyclic = ScBase.isAcyclic();
-
-    // Partial prune graph at the rf level: as above but with po weakened
-    // to po-loc-llh, the strongest same-location order every model
-    // agrees on.
+    // Partial prune graph at the rf level: po-loc-llh | rf plus the co/fr
+    // edges shared by every completion (init co-first; a read of the
+    // initial write fr-precedes every program write of its location).
     Relation Base(N);
     if (CanPrune) {
       Base = PoLocLlh | Scratch.Rf | InitCo;
@@ -230,9 +211,7 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
         for (EventId W : L.ProgramWrites)
           Base.set(Reads[I], W);
       }
-      // Base's edges are a subset of ScBase's (po-loc-llh is po), so its
-      // own DFS only runs when ScBase's cycle leaves the question open.
-      if (!ScBaseAcyclic && !Base.isAcyclic()) {
+      if (!Base.isAcyclic()) {
         ++Stats.PartialCuts;
         if (Checker.witnessCapture() && !Checker.havePruneCutWitness())
           recordCut(Base, InitCo);
@@ -284,32 +263,10 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
           for (size_t J = I + 1; J < Perm[D].size(); ++J)
             Co.set(Perm[D][I], Perm[D][J]);
       Scratch.Co = std::move(Co);
-      Scratch.invalidateDerived(MemoTier::PerCo);
-
-      // The leaf's SC verdict from the incremental graph: ScBase plus
-      // the branch locations' co edges and the fr edges of reads whose
-      // source write is no longer co-last. Leaves without branch
-      // locations are exactly ScBase, already decided.
-      bool ScAllowed = ScBaseAcyclic;
-      if (ScAllowed && !BranchIdx.empty()) {
-        Relation ScG = ScBase;
-        for (size_t D = 0; D < Perm.size(); ++D) {
-          for (size_t I = 0; I < Perm[D].size(); ++I)
-            for (size_t J = I + 1; J < Perm[D].size(); ++J)
-              ScG.set(Perm[D][I], Perm[D][J]);
-          for (auto [R, W] : ReadsOfBranchLoc[D]) {
-            size_t Pos = static_cast<size_t>(
-                std::find(Perm[D].begin(), Perm[D].end(), W) -
-                Perm[D].begin());
-            for (size_t J = Pos + 1; J < Perm[D].size(); ++J)
-              ScG.set(R, Perm[D][J]);
-          }
-        }
-        ScAllowed = ScG.isAcyclic();
-      }
+      Scratch.clearDerived();
 
       ++Stats.JudgedCandidates;
-      Checker.accountLeaf(Checker.judge(Scratch, ScAllowed), Scratch, O);
+      Checker.accountLeaf(Checker.judge(Scratch), Scratch, O);
     };
 
     // Commit one coherence permutation per multi-write location, pruning

@@ -232,16 +232,6 @@ void MultiModelChecker::recordPruneCut(const Execution &Partial,
 }
 
 const std::vector<Verdict> &MultiModelChecker::judge(const Execution &Exe) {
-  return judgeImpl(Exe, nullptr);
-}
-
-const std::vector<Verdict> &MultiModelChecker::judge(const Execution &Exe,
-                                                     bool ScAllowed) {
-  return judgeImpl(Exe, &ScAllowed);
-}
-
-const std::vector<Verdict> &
-MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
   JudgeBuf.resize(Models.size());
   // Stronger-first with the implication shortcut: once a model's
   // designated stronger ancestor allowed the execution, monotonicity of
@@ -274,10 +264,9 @@ MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
       continue;
     }
     if (RefPath[I] != RefFormulation::None) {
-      const bool RefAllowed =
-          RefPath[I] == RefFormulation::Sc
-              ? (ScHint ? *ScHint : isScReference(Exe))
-              : isTsoReference(Exe);
+      const bool RefAllowed = RefPath[I] == RefFormulation::Sc
+                                  ? isScReference(Exe)
+                                  : isTsoReference(Exe);
       if (RefAllowed) {
         JudgeBuf[I] = Verdict();
         continue;

@@ -175,20 +175,15 @@ public:
   /// The checks exploit the registry's model-strength forest
   /// (strongerModel): models are visited stronger-first, and a model whose
   /// designated ancestor in the set already allowed \p Exe is marked
-  /// allowed without running its axioms. The shortcut is disabled while
-  /// metrics are on so the per-axiom judge.kill.* tallies stay exact; the
-  /// differential harness proves the two paths agree.
+  /// allowed without running its axioms. SC and TSO are answered by their
+  /// reference formulations (Lemma 4.1 for SC) instead of the four-axiom
+  /// check.
+  /// Both fast paths stay on under metrics (a skipped model is allowed and
+  /// kills only count violations; a reference answer books PROPAGATION);
+  /// only witness capture turns them off, since a witness needs every
+  /// model's failing axiom. The differential harness proves the paths
+  /// agree.
   const std::vector<Verdict> &judge(const Execution &Exe);
-
-  /// As above, with the enumerator's incrementally-maintained SC verdict:
-  /// \p ScAllowed must equal acyclic(po | com) on \p Exe — the Lemma 4.1
-  /// SC reference, which the enumerator reads off its own partial graph
-  /// instead of rebuilding com per leaf. The boolean-only path then
-  /// answers SC (and, through the implication shortcut, every model SC
-  /// dominates) without touching the execution's derived relations. The
-  /// hint is trusted, so the differential harness pins this path to the
-  /// un-hinted one over the catalogue and the diy corpora.
-  const std::vector<Verdict> &judge(const Execution &Exe, bool ScAllowed);
 
   /// Accounts the leaf \p Exe just judged with its \p Verdicts and its
   /// outcome \p O, which must already have been recorded through
@@ -248,10 +243,6 @@ private:
   std::vector<std::array<unsigned long long, 4>> AxiomKills;
   /// Reused verdict buffer for judge().
   std::vector<Verdict> JudgeBuf;
-  /// Shared body of the judge() overloads; \p ScHint is null when no
-  /// precomputed SC verdict is available.
-  const std::vector<Verdict> &judgeImpl(const Execution &Exe,
-                                        const bool *ScHint);
   /// Index (into Models) of each model's designated stronger ancestor
   /// within this set, or -1; drives the judge() implication shortcut.
   std::vector<int> StrongerIdx;

@@ -178,7 +178,7 @@ Relation HwModel::prop(const Execution &Exe) const {
   // expensive one: without the memo it would run again here through hb).
   Relation HbStar = cachedHbStar(Exe);
   Relation FencesRel = cachedFences(Exe);
-  Relation FFence = Exe.modelMemo(memoTag(), MemoFullFence, MemoTier::Static,
+  Relation FFence = Exe.modelMemo(memoTag(), MemoFullFence,
                                   [&] { return fullFence(Exe); });
 
   // A-cumulativity: rfe; fences (Fig. 18).

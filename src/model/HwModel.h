@@ -85,18 +85,6 @@ public:
     return S;
   }
 
-  /// The Fig. 25 fixpoint reads rfi (per-rf) plus rdw and detour, the
-  /// only co-dependent inputs. Both are intersections with po-loc, so on
-  /// executions without same-location po pairs (every basic diy critical
-  /// cycle) the fixpoint is per-rf and the enumerator reuses it across
-  /// the whole coherence walk.
-  MemoTier ppoTier(const Execution &Exe) const override {
-    if (!Config.PpoUsesRdwDetour || Exe.poLoc().empty())
-      return MemoTier::PerRf;
-    return MemoTier::PerCo;
-  }
-  MemoTier fencesTier() const override { return MemoTier::Static; }
-
   /// The full-fence relation (strong half of prop).
   Relation fullFence(const Execution &Exe) const;
 

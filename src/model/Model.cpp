@@ -6,8 +6,6 @@
 
 #include "model/Model.h"
 
-#include <algorithm>
-
 using namespace cats;
 
 Model::~Model() = default;
@@ -55,32 +53,21 @@ bool Verdict::violates(Axiom A) const {
 }
 
 Relation Model::cachedPpo(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoPpo, ppoTier(Exe),
-                       [&] { return ppo(Exe); });
+  return Exe.modelMemo(memoTag(), MemoPpo, [&] { return ppo(Exe); });
 }
 
 Relation Model::cachedFences(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoFences, fencesTier(),
-                       [&] { return fences(Exe); });
-}
-
-MemoTier Model::hbTier(const Execution &Exe) const {
-  // hb = ppo | fences | rfe: at least per-rf (rfe), plus whatever the
-  // architecture functions need.
-  MemoTier T = MemoTier::PerRf;
-  T = std::max(T, ppoTier(Exe));
-  T = std::max(T, fencesTier());
-  return T;
+  return Exe.modelMemo(memoTag(), MemoFences, [&] { return fences(Exe); });
 }
 
 Relation Model::cachedHappensBefore(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoHb, hbTier(Exe), [&] {
+  return Exe.modelMemo(memoTag(), MemoHb, [&] {
     return cachedPpo(Exe) | cachedFences(Exe) | Exe.rfe();
   });
 }
 
 Relation Model::cachedHbStar(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoHbStar, hbTier(Exe), [&] {
+  return Exe.modelMemo(memoTag(), MemoHbStar, [&] {
     return cachedHappensBefore(Exe).reflexiveTransitiveClosure();
   });
 }
@@ -90,8 +77,7 @@ Relation Model::happensBefore(const Execution &Exe) const {
 }
 
 Relation Model::cachedProp(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoProp, propTier(Exe),
-                       [&] { return prop(Exe); });
+  return Exe.modelMemo(memoTag(), MemoProp, [&] { return prop(Exe); });
 }
 
 Relation Model::scPerLocationPoLoc(const Execution &Exe) const {

@@ -110,30 +110,6 @@ public:
   /// Axiom weakenings for this instance.
   virtual AxiomStyle style() const { return {}; }
 
-  /// Memo volatility of ppo for \p Exe: how long a cached ppo stays valid
-  /// while the incremental enumerator mutates rf/co on one scratch
-  /// execution. The conservative default (per-candidate) is always sound;
-  /// models whose ppo reads neither rf nor co (SC, TSO, PSO, RMO, C++ R-A)
-  /// override to Static, and the hardware models answer dynamically
-  /// (their ppo fixpoint reads rfi plus the rdw/detour co-slices, which
-  /// are empty whenever po-loc is — per-rf on the diy corpora).
-  virtual MemoTier ppoTier(const Execution &Exe) const {
-    (void)Exe;
-    return MemoTier::PerCo;
-  }
-
-  /// Memo volatility of fences: the fence relations are structural, so
-  /// every shipped model returns Static; the conservative default remains
-  /// per-candidate for exotic subclasses.
-  virtual MemoTier fencesTier() const { return MemoTier::PerCo; }
-
-  /// Memo volatility of prop for \p Exe (C++ R-A's (po | rf)+ is per-rf;
-  /// the others read fr or com* and stay per-candidate).
-  virtual MemoTier propTier(const Execution &Exe) const {
-    (void)Exe;
-    return MemoTier::PerCo;
-  }
-
   /// Identity under which this model's per-candidate memo entries are
   /// stored. Models whose (ppo, fences, prop) triples are definitionally
   /// identical may return one shared tag so the relations are derived
@@ -176,9 +152,6 @@ protected:
   /// relations must use slots >= MemoFirstSubclassSlot.
   Relation cachedPpo(const Execution &Exe) const;
   Relation cachedFences(const Execution &Exe) const;
-  /// Combined memo tier of happens-before (max of ppo/fences tiers and
-  /// PerRf for the rfe component).
-  MemoTier hbTier(const Execution &Exe) const;
   Relation cachedHappensBefore(const Execution &Exe) const;
   /// Reflexive-transitive closure of happens-before.
   Relation cachedHbStar(const Execution &Exe) const;

@@ -32,10 +32,6 @@ public:
   Relation ppo(const Execution &Exe) const override;
   Relation fences(const Execution &Exe) const override;
   Relation prop(const Execution &Exe) const override;
-  MemoTier ppoTier(const Execution &) const override {
-    return MemoTier::Static;
-  }
-  MemoTier fencesTier() const override { return MemoTier::Static; }
 };
 
 /// Sparc/x86 Total Store Order.
@@ -45,10 +41,6 @@ public:
   Relation ppo(const Execution &Exe) const override;
   Relation fences(const Execution &Exe) const override;
   Relation prop(const Execution &Exe) const override;
-  MemoTier ppoTier(const Execution &) const override {
-    return MemoTier::Static;
-  }
-  MemoTier fencesTier() const override { return MemoTier::Static; }
 };
 
 /// C++ restricted to release-acquire atomics, in the (slightly stronger
@@ -60,13 +52,6 @@ public:
   Relation ppo(const Execution &Exe) const override;
   Relation fences(const Execution &Exe) const override;
   Relation prop(const Execution &Exe) const override;
-  MemoTier ppoTier(const Execution &) const override {
-    return MemoTier::Static;
-  }
-  MemoTier fencesTier() const override { return MemoTier::Static; }
-  MemoTier propTier(const Execution &) const override {
-    return MemoTier::PerRf;
-  }
   AxiomStyle style() const override {
     AxiomStyle S;
     S.PropagationIrreflexiveOnly = true;
@@ -83,10 +68,6 @@ public:
   Relation ppo(const Execution &Exe) const override;
   Relation fences(const Execution &Exe) const override;
   Relation prop(const Execution &Exe) const override;
-  MemoTier ppoTier(const Execution &) const override {
-    return MemoTier::Static;
-  }
-  MemoTier fencesTier() const override { return MemoTier::Static; }
 };
 
 /// Sparc Relaxed Memory Order: only dependencies and fences order
@@ -98,10 +79,6 @@ public:
   Relation ppo(const Execution &Exe) const override;
   Relation fences(const Execution &Exe) const override;
   Relation prop(const Execution &Exe) const override;
-  MemoTier ppoTier(const Execution &) const override {
-    return MemoTier::Static;
-  }
-  MemoTier fencesTier() const override { return MemoTier::Static; }
   AxiomStyle style() const override {
     AxiomStyle S;
     S.AllowLoadLoadHazard = true;

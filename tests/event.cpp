@@ -189,6 +189,39 @@ TEST(Execution, DetourRelation) {
   EXPECT_TRUE(Exe.detour().test(B, C));
 }
 
+TEST(Execution, ClearDerivedDropsStaleMemos) {
+  MpFixture F;
+  F.Exe.enableDerivedCache();
+  int Computes = 0;
+  const int Tag = 0;
+  auto Memo = [&] {
+    return F.Exe.modelMemo(&Tag, 0, [&] {
+      ++Computes;
+      return F.Exe.fr();
+    });
+  };
+  EXPECT_EQ(F.Exe.fr().countPairs(), 1u);
+  const Relation OldCom = F.Exe.com();
+  Memo();
+  Memo();
+  EXPECT_EQ(Computes, 1);
+
+  // Drop co(ix, a): d no longer fr-precedes a. Until cleared, the memos
+  // still answer for the old candidate.
+  F.Exe.Co = Relation(F.Exe.numEvents());
+  F.Exe.Co.set(F.Iy, F.B);
+  EXPECT_EQ(F.Exe.com(), OldCom);
+
+  F.Exe.clearDerived();
+  MpFixture Fresh;
+  Fresh.Exe.Co = F.Exe.Co;
+  EXPECT_EQ(F.Exe.com(), Fresh.Exe.com());
+  EXPECT_NE(F.Exe.com(), OldCom);
+  EXPECT_TRUE(F.Exe.fr().empty());
+  EXPECT_TRUE(Memo().empty());
+  EXPECT_EQ(Computes, 2);
+}
+
 TEST(Execution, FenceRelationLookupMissing) {
   MpFixture F;
   EXPECT_TRUE(F.Exe.fenceRelation("sync").empty());

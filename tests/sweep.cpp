@@ -62,8 +62,9 @@ void expectSameResult(const SimulationResult &A, const SimulationResult &B,
   // Per-model entries of a multi-model sweep do not carry the shared
   // ConsistentOutcomes set; callers with such entries compare the shared
   // set on the MultiSimulationResult themselves.
-  if (CompareConsistentOutcomes)
+  if (CompareConsistentOutcomes) {
     EXPECT_EQ(A.ConsistentOutcomes, B.ConsistentOutcomes) << Context;
+  }
   EXPECT_EQ(A.ConditionReachable, B.ConditionReachable) << Context;
 }
 

@@ -393,8 +393,9 @@ TEST(Witness, DotStructurallyValid) {
     }
     // Every witness with events draws them; ones with edges draw edges.
     EXPECT_EQ(Declared.size(), W.Events.size());
-    if (!W.Edges.empty() || !W.Cycle.empty())
+    if (!W.Edges.empty() || !W.Cycle.empty()) {
       EXPECT_GT(EdgeCount, 0u);
+    }
     // The file stem is filesystem-safe.
     const std::string Stem = obs::witnessFileStem(W);
     EXPECT_FALSE(Stem.empty());
