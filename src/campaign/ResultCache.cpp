@@ -83,9 +83,16 @@ bool ResultCache::lookup(const LitmusTest &Test,
   if (!Parsed)
     return false;
   // Guard against key collisions and hand-edited entries: the stored
-  // result must belong to this very test.
+  // result must belong to this very test and carry one entry per
+  // requested model, in request order.
   if (Parsed->TestName != Test.Name)
     return false;
+  const std::vector<SimulationResult> &PerModel = Parsed->Result.PerModel;
+  if (PerModel.size() != Models.size())
+    return false;
+  for (size_t I = 0; I < Models.size(); ++I)
+    if (PerModel[I].ModelName != Models[I]->name())
+      return false;
   Out = Parsed.take();
   return true;
 }

@@ -51,7 +51,8 @@ public:
 
   /// Looks up the entry for (\p Test, \p Models). On a hit, fills \p Out
   /// with the stored result and returns true. Corrupt or unreadable
-  /// entries behave as misses.
+  /// entries behave as misses, as do entries whose test name or per-model
+  /// names (in order) differ from \p Test and \p Models.
   bool lookup(const LitmusTest &Test,
               const std::vector<const Model *> &Models,
               SweepTestResult &Out) const;

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 using namespace cats;
 
@@ -110,6 +111,7 @@ MultiModelChecker::MultiModelChecker(const CompiledTest &Compiled,
     Result.PerModel[I].TestName = Result.TestName;
     Result.PerModel[I].ModelName = Models[I]->name();
   }
+  RowWords = (Models.size() + 63) / 64;
   Metrics = obs::metricsEnabled();
   if (Metrics)
     AxiomKills.assign(Models.size(), {});
@@ -164,35 +166,16 @@ void MultiModelChecker::feed(const Candidate &Cand) {
   ++Result.CandidatesConsistent;
 
   // The candidate is final by now: let every model check share one
-  // computation of the derived relations (fr, po-loc, com, ...). The
-  // outcome's key cache is already on (enabled by concretize), so the
-  // outcome-set inserts below compare memoized keys instead of
-  // rebuilding the key string per comparison.
+  // computation of the derived relations (fr, po-loc, com, ...).
   Cand.Exe.enableDerivedCache();
 
-  // Model-independent work, once per candidate.
-  Result.ConsistentOutcomes.insert(Cand.Out);
-  const bool SatisfiesFinal = Cand.Out.satisfies(Final);
-
-  for (size_t I = 0; I < Models.size(); ++I) {
-    // check() evaluates all four axioms without short-circuiting either
-    // way, so reading the full verdict (for the per-axiom kill tallies)
-    // costs the same as the boolean allows().
-    const Verdict V = Models[I]->check(Cand.Exe);
-    if (WitnessMode && SatisfiesFinal)
-      captureWitness(I, V, Cand.Exe, Cand.Out);
-    if (!V.Allowed) {
-      if (Metrics)
-        for (Axiom A : V.Violated)
-          ++AxiomKills[I][static_cast<size_t>(A)];
-      continue;
-    }
-    SimulationResult &R = Result.PerModel[I];
-    ++R.CandidatesAllowed;
-    R.AllowedOutcomes.insert(Cand.Out);
-    if (SatisfiesFinal)
-      R.ConditionReachable = true;
-  }
+  // check() evaluates all four axioms without short-circuiting either way,
+  // so reading the full verdict (for the per-axiom kill tallies) costs the
+  // same as the boolean allows().
+  JudgeBuf.resize(Models.size());
+  for (size_t I = 0; I < Models.size(); ++I)
+    JudgeBuf[I] = Models[I]->check(Cand.Exe);
+  accountLeaf(JudgeBuf, Cand.Exe, Cand.Out);
 }
 
 void MultiModelChecker::enableWitnessCapture() {
@@ -282,29 +265,29 @@ const std::vector<Verdict> &MultiModelChecker::judge(const Execution &Exe) {
   return JudgeBuf;
 }
 
-void MultiModelChecker::accountConsistentOutcome(const Outcome &O) {
-  auto [It, New] = OutcomeNotes.try_emplace(O.key());
-  if (!New)
-    return;
-  It->second.Satisfies = O.satisfies(Final);
-  Result.ConsistentOutcomes.insert(O);
+size_t MultiModelChecker::intern(const Outcome &O) {
+  auto [It, New] =
+      RowOf.try_emplace(O.key(), static_cast<uint32_t>(Table.size()));
+  if (New) {
+    Table.push_back(O);
+    // The row is final: later key() calls (the sort in take(), the report
+    // writer) reuse one built key.
+    Table.back().enableKeyCache();
+    Satisfies.push_back(O.satisfies(Final));
+    Allowed.resize(Allowed.size() + RowWords, 0);
+  }
+  return It->second;
 }
 
 void MultiModelChecker::accountLeaf(const std::vector<Verdict> &Verdicts,
                                     const Execution &Exe, const Outcome &O) {
-  auto It = OutcomeNotes.find(O.key());
-  assert(It != OutcomeNotes.end() && "leaf outcome was never accounted");
-  OutcomeNote &Note = It->second;
-  if (WitnessMode && Note.Satisfies)
-    for (size_t I = 0; I < Models.size(); ++I)
-      captureWitness(I, Verdicts[I], Exe, O);
-  // The per-model AllowedOutcomes sets and ConditionReachable flags are
-  // not touched here: they are reconstructed in take() from the per-
-  // outcome allowed masks, so the per-leaf cost is counter bumps and one
-  // mask OR instead of an ordered-set insert per allowing model.
-  unsigned long long Mask = 0;
+  const size_t Row = intern(O);
+  const bool Satisfying = Satisfies[Row];
+  uint64_t *Bits = &Allowed[Row * RowWords];
   for (size_t I = 0; I < Models.size(); ++I) {
     const Verdict &V = Verdicts[I];
+    if (WitnessMode && Satisfying)
+      captureWitness(I, V, Exe, O);
     if (!V.Allowed) {
       if (Metrics)
         for (Axiom A : V.Violated)
@@ -312,18 +295,8 @@ void MultiModelChecker::accountLeaf(const std::vector<Verdict> &Verdicts,
       continue;
     }
     ++Result.PerModel[I].CandidatesAllowed;
-    if (I < 64) {
-      Mask |= 1ull << I;
-    } else {
-      // Past the mask width the deferral has nowhere to record the
-      // model, so those entries materialize immediately (the insert
-      // dedups repeats on its own).
-      Result.PerModel[I].AllowedOutcomes.insert(O);
-      if (Note.Satisfies)
-        Result.PerModel[I].ConditionReachable = true;
-    }
+    Bits[I / 64] |= 1ull << (I % 64);
   }
-  Note.AllowedMask |= Mask;
 }
 
 void MultiModelChecker::accountPrunedMass(unsigned long long N) {
@@ -334,32 +307,39 @@ void MultiModelChecker::accountPrunedMass(unsigned long long N) {
 }
 
 MultiSimulationResult MultiModelChecker::take() {
-  // Materialize the per-model allowed sets and reachability flags the
-  // incremental path deferred (feed() fills them directly and leaves the
-  // notes' masks empty, so this loop is a no-op after a naive run).
-  // ConsistentOutcomes iterates in key order and every note key is a
-  // consistent outcome's key, so each model's inserts arrive ascending
-  // and the end() hint keeps them search-free.
-  for (const Outcome &O : Result.ConsistentOutcomes) {
-    auto It = OutcomeNotes.find(O.key());
-    if (It == OutcomeNotes.end() || !It->second.AllowedMask)
-      continue;
-    const OutcomeNote &Note = It->second;
-    for (size_t I = 0; I < Models.size() && I < 64; ++I) {
-      if (!(Note.AllowedMask >> I & 1))
+  // Sort the table by key once, then transpose each model's column of
+  // membership bits into key order. A model reaches the final condition
+  // iff it allowed some satisfying outcome.
+  const size_t N = Table.size();
+  std::vector<uint32_t> Order(N);
+  std::iota(Order.begin(), Order.end(), 0u);
+  std::sort(Order.begin(), Order.end(),
+            [&](uint32_t A, uint32_t B) { return Table[A] < Table[B]; });
+  auto Sorted = std::make_shared<OutcomeTable>();
+  Sorted->reserve(N);
+  std::vector<OutcomeSet::Bits> ModelBits(Models.size(),
+                                          OutcomeSet::Bits((N + 63) / 64, 0));
+  for (size_t Pos = 0; Pos < N; ++Pos) {
+    const size_t Row = Order[Pos];
+    Sorted->push_back(std::move(Table[Row]));
+    const uint64_t *Bits = &Allowed[Row * RowWords];
+    for (size_t I = 0; I < Models.size(); ++I) {
+      if (!(Bits[I / 64] >> (I % 64) & 1))
         continue;
-      SimulationResult &R = Result.PerModel[I];
-      R.AllowedOutcomes.insert(R.AllowedOutcomes.end(), O);
-      if (Note.Satisfies)
-        R.ConditionReachable = true;
+      ModelBits[I][Pos / 64] |= 1ull << (Pos % 64);
+      if (Satisfies[Row])
+        Result.PerModel[I].ConditionReachable = true;
     }
   }
+  for (size_t I = 0; I < Models.size(); ++I)
+    Result.PerModel[I].AllowedOutcomes =
+        OutcomeSet(Sorted, std::move(ModelBits[I]));
+  Result.ConsistentOutcomes = OutcomeSet::all(std::move(Sorted));
 
   // Mirror the shared counts so each PerModel entry stands alone. The
-  // ConsistentOutcomes set is only copied in the single-model case (the
-  // simulate() facade returns that lone entry detached from the multi
-  // result); with many models the copies dominate take() itself, so
-  // multi-model consumers read the shared set on MultiSimulationResult.
+  // shared ConsistentOutcomes set is only mirrored in the single-model
+  // case, where the simulate() facade returns that lone entry detached
+  // from the multi result.
   for (SimulationResult &R : Result.PerModel) {
     R.CandidatesTotal = Result.CandidatesTotal;
     R.CandidatesConsistent = Result.CandidatesConsistent;

@@ -17,13 +17,13 @@
 #ifndef CATS_HERD_SIMULATOR_H
 #define CATS_HERD_SIMULATOR_H
 
+#include "herd/OutcomeSet.h"
 #include "litmus/Compiler.h"
 #include "model/Model.h"
 #include "obs/Witness.h"
 
 #include <array>
 #include <functional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,12 +40,13 @@ struct SimulationResult {
   unsigned long long CandidatesConsistent = 0;
   /// Candidates allowed by the model.
   unsigned long long CandidatesAllowed = 0;
-  /// Distinct outcomes of allowed candidates.
-  std::set<Outcome> AllowedOutcomes;
+  /// Distinct outcomes of allowed candidates: a subset of the test's
+  /// consistent outcome table.
+  OutcomeSet AllowedOutcomes;
   /// Distinct outcomes over all consistent candidates (any model).
   /// Populated by the single-model simulate(); in a multi-model sweep the
   /// set is shared and lives on MultiSimulationResult instead.
-  std::set<Outcome> ConsistentOutcomes;
+  OutcomeSet ConsistentOutcomes;
   /// True if some allowed candidate satisfies the test's final condition.
   bool ConditionReachable = false;
 
@@ -65,13 +66,13 @@ struct MultiSimulationResult {
   unsigned long long CandidatesTotal = 0;
   /// Candidates surviving value-consistency; shared.
   unsigned long long CandidatesConsistent = 0;
-  /// Distinct outcomes over all consistent candidates; shared.
-  std::set<Outcome> ConsistentOutcomes;
+  /// Distinct outcomes over all consistent candidates; shared. Every
+  /// model's AllowedOutcomes is a subset of the same outcome table.
+  OutcomeSet ConsistentOutcomes;
   /// One entry per requested model, in request order. The shared counts
   /// above are mirrored into each entry; the shared ConsistentOutcomes set
-  /// is not (copying it per model dominates take() on wide sweeps) except
-  /// when exactly one model was requested, so simulate()'s detached return
-  /// value stays a complete SimulationResult.
+  /// is only mirrored when exactly one model was requested, so
+  /// simulate()'s detached return value stays a complete SimulationResult.
   std::vector<SimulationResult> PerModel;
   /// Verdict evidence, only populated when witness capture was enabled
   /// (docs/explain.md): per model one witness backing its verdict, plus
@@ -125,10 +126,13 @@ struct EnumerationStats {
   unsigned long long JudgedCandidates = 0;
 };
 
-/// Accumulates per-model verdicts over a stream of candidates, computing
-/// the model-independent work (consistency counts, outcome keys, final
-/// condition evaluation) exactly once per candidate. Feed every candidate
-/// of one compiled test, then call take().
+/// Accumulates per-model verdicts over a stream of candidates. Both
+/// backends share one accounting path: each outcome is interned once into
+/// the test's outcome table (a key-to-index hash; the final condition is
+/// evaluated on first sighting), and a verdict only sets the model's bit in
+/// that outcome's row. Feed every candidate of one compiled test, then call
+/// take(), which sorts the table by key and hands every model's allowed set
+/// out as a bitset over it (OutcomeSet).
 ///
 /// This is the engine under both simulate() overloads and the sweep
 /// subsystem; instances are single-use and not thread-safe (one checker
@@ -138,7 +142,8 @@ public:
   MultiModelChecker(const CompiledTest &Compiled,
                     std::vector<const Model *> Models);
 
-  /// Accounts one candidate under every model (the naive path).
+  /// Accounts one candidate under every model (the naive path): checks
+  /// each model in full, then accounts the verdicts through accountLeaf.
   void feed(const Candidate &Cand);
 
   //===--------------------------------------------------------------------===//
@@ -160,9 +165,9 @@ public:
   }
 
   /// Records one model-independent consistent outcome. First sighting of
-  /// a key pays the set insert and the final-condition evaluation; repeats
-  /// are a hash lookup (the note then also feeds accountLeaf).
-  void accountConsistentOutcome(const Outcome &O);
+  /// a key pays the table append and the final-condition evaluation;
+  /// repeats are a hash lookup.
+  void accountConsistentOutcome(const Outcome &O) { intern(O); }
 
   unsigned long long consistentCount() const {
     return Result.CandidatesConsistent;
@@ -186,9 +191,9 @@ public:
   const std::vector<Verdict> &judge(const Execution &Exe);
 
   /// Accounts the leaf \p Exe just judged with its \p Verdicts and its
-  /// outcome \p O, which must already have been recorded through
-  /// accountConsistentOutcome (the closed-form pass of the leaf's rf
-  /// covers its whole outcome cross product).
+  /// outcome \p O: interns \p O (on the pruned path the closed-form pass
+  /// of the leaf's rf has already recorded it), bumps each allowing
+  /// model's count and sets its bit in the outcome's row.
   void accountLeaf(const std::vector<Verdict> &Verdicts, const Execution &Exe,
                    const Outcome &O);
 
@@ -253,21 +258,19 @@ private:
   /// Lemma 4.1 reference formulation instead of the four-axiom check.
   enum class RefFormulation : uint8_t { None, Sc, Tso };
   std::vector<RefFormulation> RefPath;
-  /// Incremental-path memo per distinct outcome key: whether the outcome
-  /// satisfies the final condition, and which models (bit I = Models[I],
-  /// capped at 64) allowed some candidate with this outcome. accountLeaf
-  /// only bumps counters and ORs the mask; take() reconstructs each
-  /// model's AllowedOutcomes set and ConditionReachable flag from the
-  /// notes in one ordered pass, so no per-leaf ordered-set inserts happen
-  /// at all. feed() leaves the masks empty: the naive path stays the
-  /// plain reference loop and take()'s reconstruction is then a no-op.
-  /// Only accountConsistentOutcome creates notes, together with the
-  /// outcome's ConsistentOutcomes insert.
-  struct OutcomeNote {
-    bool Satisfies = false;
-    unsigned long long AllowedMask = 0;
-  };
-  std::unordered_map<std::string, OutcomeNote> OutcomeNotes;
+  /// The test's outcome table under construction, in first-sighting
+  /// order: RowOf maps a key to its row, Satisfies caches the final
+  /// condition per row, and Allowed holds RowWords membership words per
+  /// row (bit I = Models[I] allowed some candidate with that outcome).
+  /// take() sorts the rows by key and transposes the bits into one
+  /// OutcomeSet per model.
+  std::unordered_map<std::string, uint32_t> RowOf;
+  OutcomeTable Table;
+  std::vector<char> Satisfies;
+  std::vector<uint64_t> Allowed;
+  size_t RowWords = 0;
+  /// The row of \p O, appending it on first sighting.
+  size_t intern(const Outcome &O);
   EnumerationStats Stats;
   bool HaveStats = false;
   /// Witness capture (enableWitnessCapture). Slots hold, per model, the

@@ -56,7 +56,7 @@ namespace {
 /// counting it twice would misreport the violation magnitude).
 void judgeWith(const LitmusTest &Test, const SimulationResult &Ref,
                const SimulationResult &Sc,
-               const std::set<Outcome> &ConsistentOutcomes,
+               const OutcomeSet &ConsistentOutcomes,
                RunTestResult &Result) {
   std::set<std::string> AllowedRef, AllowedSc, Consistent;
   for (const Outcome &O : Ref.AllowedOutcomes)

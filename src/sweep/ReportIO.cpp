@@ -9,7 +9,10 @@
 #include "obs/Witness.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <vector>
 
 using namespace cats;
 
@@ -154,7 +157,9 @@ std::string stringOf(const JsonValue &Obj, const char *Key) {
   return V && V->isString() ? V->asString() : std::string();
 }
 
-Status parseOutcomeSet(const JsonValue *Array, std::set<Outcome> &Out) {
+/// The JSON array \p Array as a list of key strings; empty when absent.
+Status parseKeyList(const JsonValue *Array,
+                    std::vector<const std::string *> &Out) {
   if (!Array)
     return Status::success();
   if (!Array->isArray())
@@ -162,11 +167,67 @@ Status parseOutcomeSet(const JsonValue *Array, std::set<Outcome> &Out) {
   for (const JsonValue &Key : Array->elements()) {
     if (!Key.isString())
       return Status::error("state key is not a string");
-    auto O = outcomeFromKey(Key.asString());
+    Out.push_back(&Key.asString());
+  }
+  return Status::success();
+}
+
+/// A test's outcome table rebuilt from its consistent_states, plus the
+/// canonical key of each row for resolving allowed_states against it.
+struct ParsedTable {
+  std::shared_ptr<OutcomeTable> Table = std::make_shared<OutcomeTable>();
+  std::vector<std::string> Keys;
+};
+
+Status parseOutcomeTable(const JsonValue *Array, ParsedTable &Out) {
+  std::vector<const std::string *> Raw;
+  if (Status S = parseKeyList(Array, Raw); S.failed())
+    return S;
+  std::vector<std::pair<std::string, Outcome>> Rows;
+  Rows.reserve(Raw.size());
+  for (const std::string *Key : Raw) {
+    auto O = outcomeFromKey(*Key);
     if (!O)
       return Status::error(O.message());
-    Out.insert(O.take());
+    std::string Canonical = O->key();
+    Rows.emplace_back(std::move(Canonical), O.take());
   }
+  // Reports list the states ascending and distinct already; the sort only
+  // reorders a hand-edited list.
+  std::sort(Rows.begin(), Rows.end(), [](const auto &A, const auto &B) {
+    return A.first < B.first;
+  });
+  Rows.erase(std::unique(Rows.begin(), Rows.end(),
+                         [](const auto &A, const auto &B) {
+                           return A.first == B.first;
+                         }),
+             Rows.end());
+  Out.Table->reserve(Rows.size());
+  Out.Keys.reserve(Rows.size());
+  for (auto &[Key, O] : Rows) {
+    Out.Keys.push_back(std::move(Key));
+    Out.Table->push_back(std::move(O));
+  }
+  return Status::success();
+}
+
+/// Resolves every key of \p Array against \p Parsed: the allowed states
+/// of a model are a subset of the test's consistent states.
+Status parseAllowedSet(const JsonValue *Array, const ParsedTable &Parsed,
+                       OutcomeSet &Out) {
+  std::vector<const std::string *> Raw;
+  if (Status S = parseKeyList(Array, Raw); S.failed())
+    return S;
+  OutcomeSet::Bits Members((Parsed.Keys.size() + 63) / 64, 0);
+  for (const std::string *Key : Raw) {
+    auto It = std::lower_bound(Parsed.Keys.begin(), Parsed.Keys.end(), *Key);
+    if (It == Parsed.Keys.end() || *It != *Key)
+      return Status::error(strFormat(
+          "allowed state '%s' is not in consistent_states", Key->c_str()));
+    const size_t Row = static_cast<size_t>(It - Parsed.Keys.begin());
+    Members[Row / 64] |= 1ull << (Row % 64);
+  }
+  Out = OutcomeSet(Parsed.Table, std::move(Members));
   return Status::success();
 }
 
@@ -189,10 +250,11 @@ Expected<SweepTestResult> cats::sweepTestResultFromJson(const JsonValue &E) {
   Out.Result.TestName = Out.TestName;
   Out.Result.CandidatesTotal = countOf(E, "candidates_total");
   Out.Result.CandidatesConsistent = countOf(E, "candidates_consistent");
-  if (Status S =
-          parseOutcomeSet(E.get("consistent_states"), Out.Result.ConsistentOutcomes);
+  ParsedTable Parsed;
+  if (Status S = parseOutcomeTable(E.get("consistent_states"), Parsed);
       S.failed())
     return Ret::error(Out.TestName + ": " + S.message());
+  Out.Result.ConsistentOutcomes = OutcomeSet::all(Parsed.Table);
 
   const JsonValue *Models = E.get("models");
   if (Models && !Models->isArray())
@@ -208,9 +270,11 @@ Expected<SweepTestResult> cats::sweepTestResultFromJson(const JsonValue &E) {
         return Ret::error(Out.TestName + ": model entry without a name");
       R.ConditionReachable = stringOf(M, "verdict") == "Allow";
       R.CandidatesAllowed = countOf(M, "candidates_allowed");
-      if (Status S = parseOutcomeSet(M.get("allowed_states"), R.AllowedOutcomes);
+      if (Status S = parseAllowedSet(M.get("allowed_states"), Parsed,
+                                     R.AllowedOutcomes);
           S.failed())
-        return Ret::error(Out.TestName + ": " + S.message());
+        return Ret::error(Out.TestName + ": model " + R.ModelName + ": " +
+                          S.message());
       // Mirror the shared counts so every entry stands alone, exactly as
       // the live engine produces them (the shared ConsistentOutcomes set
       // stays on the multi result, matching MultiModelChecker::take()).

@@ -14,8 +14,9 @@
 /// prefix, and cats_merge folds shard reports into one.
 ///
 /// Rendering a parsed entry is byte-identical to rendering the original:
-/// outcome keys reparse into Outcomes whose key() rebuilds the same
-/// string, and every count is integral (exact in the JSON number type).
+/// consistent-state keys reparse into Outcomes whose key() rebuilds the
+/// same string, allowed-state keys resolve to rows of that table, and
+/// every count is integral (exact in the JSON number type).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +39,9 @@ Expected<Outcome> outcomeFromKey(const std::string &Key);
 JsonValue sweepTestResultToJson(const SweepTestResult &Result);
 
 /// Parses one per-test entry. Unknown members are ignored (forward
-/// compatibility within the /1 schema).
+/// compatibility within the /1 schema). The consistent_states become the
+/// test's outcome table; every model's allowed_states must resolve into
+/// it, and a key that does not is an error naming the test and the key.
 Expected<SweepTestResult> sweepTestResultFromJson(const JsonValue &Entry);
 
 /// Parses a whole cats-sweep-report/1 document. Fails on a wrong or

@@ -30,8 +30,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
+#include <sstream>
 
 using namespace cats;
 
@@ -204,6 +206,40 @@ TEST(ReportIO, ReaderRejectsWrongSchema) {
   EXPECT_FALSE(static_cast<bool>(sweepReportFromJson(Root)));
 }
 
+TEST(ReportIO, ReaderRejectsAllowedStateOutsideConsistent) {
+  const CatalogEntry *Entry = catalogEntry("mp");
+  ASSERT_NE(Entry, nullptr);
+  SweepReport Report = SweepEngine({1}).run(
+      makeJobs({Entry->Test}, {modelByName("SC"), modelByName("Power")}));
+  const std::string Text = sweepTestResultToJson(Report.Tests[0]).dump(0);
+  ASSERT_TRUE(static_cast<bool>(
+      sweepTestResultFromJson(*JsonValue::parse(Text))));
+
+  // Hand-edit the Power entry: a well-formed key no consistent candidate
+  // reaches.
+  const std::string Bogus = "1:r1=7;1:r2=7;x=1;y=1;";
+  const std::string Anchor = "\"allowed_states\":[";
+  const size_t At = Text.rfind(Anchor);
+  ASSERT_NE(At, std::string::npos) << Text;
+  std::string Edited = Text;
+  Edited.insert(At + Anchor.size(), "\"" + Bogus + "\",");
+  auto Doc = JsonValue::parse(Edited);
+  ASSERT_TRUE(static_cast<bool>(Doc)) << Doc.message();
+  auto Parsed = sweepTestResultFromJson(*Doc);
+  ASSERT_FALSE(static_cast<bool>(Parsed));
+  EXPECT_NE(Parsed.message().find(Entry->Test.Name), std::string::npos)
+      << Parsed.message();
+  EXPECT_NE(Parsed.message().find(Bogus), std::string::npos)
+      << Parsed.message();
+
+  // The whole-report reader refuses the entry too.
+  JsonValue Root = sweepReportToJson(Report);
+  JsonValue Tests = JsonValue::array();
+  Tests.push(*Doc);
+  Root.set("tests", std::move(Tests));
+  EXPECT_FALSE(static_cast<bool>(sweepReportFromJson(Root)));
+}
+
 //===----------------------------------------------------------------------===//
 // Result cache
 //===----------------------------------------------------------------------===//
@@ -289,8 +325,8 @@ TEST(ResultCache, ModelDefinitionEditsMiss) {
 
   // Store under the v1 definition; the same name with the v2 definition
   // must miss, and v1 must still hit.
-  SweepTestResult Stored;
-  Stored.TestName = Test.Name;
+  const SweepTestResult Stored =
+      SweepEngine({1}).run(makeJobs({Test}, WithV1)).Tests.front();
   ASSERT_FALSE(Cache->store(Test, WithV1, Stored).failed());
   SweepTestResult Out;
   EXPECT_TRUE(Cache->lookup(Test, WithV1, Out));
@@ -325,6 +361,73 @@ TEST(ResultCache, CollisionGuardRejectsForeignEntries) {
                                        ToKey + ".json");
   SweepTestResult Out;
   EXPECT_FALSE(Cache->lookup(Tests[1], Models, Out));
+}
+
+TEST(ResultCache, EntriesWithOtherModelsMiss) {
+  // A stored entry edited by hand (or bit-flipped) so that its per-model
+  // list no longer matches the requested models must not be served: the
+  // rerun re-judges that test and equals the uncached run.
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(3);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const SweepReport Uncached = SweepEngine({1}).run(makeJobs(Tests, Models));
+
+  using Edit = std::function<JsonValue(const std::vector<JsonValue> &)>;
+  const std::vector<std::pair<std::string, Edit>> Edits = {
+      {"dropped",
+       [](const std::vector<JsonValue> &M) {
+         JsonValue Out = JsonValue::array();
+         Out.push(M[0]);
+         return Out;
+       }},
+      {"renamed",
+       [](const std::vector<JsonValue> &M) {
+         JsonValue Out = JsonValue::array();
+         Out.push(M[0]);
+         JsonValue Renamed = M[1];
+         Renamed.set("model", "ARM");
+         Out.push(std::move(Renamed));
+         return Out;
+       }},
+      {"reordered", [](const std::vector<JsonValue> &M) {
+         JsonValue Out = JsonValue::array();
+         Out.push(M[1]);
+         Out.push(M[0]);
+         return Out;
+       }}};
+  for (const auto &[What, Apply] : Edits) {
+    const std::string Dir = scratchDir("cache_edit_" + What);
+    auto Cache = ResultCache::open(Dir);
+    ASSERT_TRUE(static_cast<bool>(Cache));
+    SweepEngine({1}).runStreamed(vectorSource(Tests), Models, 2,
+                                 Cache->hooks(Models));
+
+    const std::string Key = resultCacheKey(Tests[0], Models);
+    const std::string Path =
+        Dir + "/" + Key.substr(0, 2) + "/" + Key + ".json";
+    std::ifstream In(Path);
+    ASSERT_TRUE(In.good()) << Path;
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    In.close();
+    auto Doc = JsonValue::parse(Buf.str());
+    ASSERT_TRUE(static_cast<bool>(Doc)) << Doc.message();
+    JsonValue Result = *Doc->get("result");
+    Result.set("models", Apply(Result.get("models")->elements()));
+    Doc->set("result", std::move(Result));
+    std::ofstream(Path) << Doc->dump();
+
+    SweepReport Rerun = SweepEngine({1}).runStreamed(
+        vectorSource(Tests), Models, 2, Cache->hooks(Models));
+    EXPECT_EQ(Rerun.CacheMisses, 1ull) << What;
+    EXPECT_EQ(Rerun.CacheHits, Tests.size() - 1) << What;
+    ASSERT_EQ(Rerun.Tests.size(), Uncached.Tests.size()) << What;
+    for (size_t I = 0; I < Tests.size(); ++I)
+      EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Rerun.Tests[I])).dump(),
+                zeroWallTimes(sweepTestResultToJson(Uncached.Tests[I])).dump())
+          << What << " " << Tests[I].Name;
+  }
 }
 
 TEST(ResultCache, ErroredResultsAreNotCached) {

@@ -40,7 +40,7 @@ using namespace cats;
 namespace {
 
 /// Renders an outcome set as sorted keys, for readable mismatch output.
-std::vector<std::string> keysOf(const std::set<Outcome> &Outcomes) {
+std::vector<std::string> keysOf(const OutcomeSet &Outcomes) {
   std::vector<std::string> Keys;
   Keys.reserve(Outcomes.size());
   for (const Outcome &O : Outcomes)

@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "herd/OutcomeSet.h"
 #include "litmus/Catalog.h"
 #include "litmus/Compiler.h"
 #include "model/Registry.h"
@@ -19,17 +20,49 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace cats;
 
 namespace {
 
+/// The distinct keys of \p Keys, ascending.
+std::vector<std::string> sortedDistinct(std::vector<std::string> Keys) {
+  std::sort(Keys.begin(), Keys.end());
+  Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
+  return Keys;
+}
+
+/// An engine result's outcome set as the keys it iterates, in order.
+std::vector<std::string> keysOf(const OutcomeSet &Outcomes) {
+  std::vector<std::string> Keys;
+  for (const Outcome &O : Outcomes)
+    Keys.push_back(O.key());
+  return Keys;
+}
+
+/// What the legacy per-model algorithm computes for one (test, model).
+/// Outcomes are plain sorted key vectors, so the reference stays
+/// independent of the engine's outcome tables.
+struct ReferenceResult {
+  std::string TestName;
+  std::string ModelName;
+  unsigned long long CandidatesTotal = 0;
+  unsigned long long CandidatesConsistent = 0;
+  unsigned long long CandidatesAllowed = 0;
+  std::vector<std::string> AllowedKeys;
+  std::vector<std::string> ConsistentKeys;
+  bool ConditionReachable = false;
+};
+
 /// The legacy per-model algorithm, re-implemented here as an independent
 /// reference: one full candidate enumeration per model, exactly what
 /// simulate() did before the shared MultiModelChecker path existed.
-SimulationResult naiveSimulate(const CompiledTest &Compiled, const Model &M) {
-  SimulationResult Result;
+ReferenceResult naiveSimulate(const CompiledTest &Compiled, const Model &M) {
+  ReferenceResult Result;
   Result.TestName = Compiled.test().Name;
   Result.ModelName = M.name();
   const Condition &Final = Compiled.test().Final;
@@ -38,19 +71,21 @@ SimulationResult naiveSimulate(const CompiledTest &Compiled, const Model &M) {
     if (!Cand.Consistent)
       return true;
     ++Result.CandidatesConsistent;
-    Result.ConsistentOutcomes.insert(Cand.Out);
+    Result.ConsistentKeys.push_back(Cand.Out.key());
     if (!M.allows(Cand.Exe))
       return true;
     ++Result.CandidatesAllowed;
-    Result.AllowedOutcomes.insert(Cand.Out);
+    Result.AllowedKeys.push_back(Cand.Out.key());
     if (Cand.Out.satisfies(Final))
       Result.ConditionReachable = true;
     return true;
   });
+  Result.AllowedKeys = sortedDistinct(std::move(Result.AllowedKeys));
+  Result.ConsistentKeys = sortedDistinct(std::move(Result.ConsistentKeys));
   return Result;
 }
 
-void expectSameResult(const SimulationResult &A, const SimulationResult &B,
+void expectSameResult(const ReferenceResult &A, const SimulationResult &B,
                       const std::string &Context,
                       bool CompareConsistentOutcomes = true) {
   EXPECT_EQ(A.TestName, B.TestName) << Context;
@@ -58,12 +93,12 @@ void expectSameResult(const SimulationResult &A, const SimulationResult &B,
   EXPECT_EQ(A.CandidatesTotal, B.CandidatesTotal) << Context;
   EXPECT_EQ(A.CandidatesConsistent, B.CandidatesConsistent) << Context;
   EXPECT_EQ(A.CandidatesAllowed, B.CandidatesAllowed) << Context;
-  EXPECT_EQ(A.AllowedOutcomes, B.AllowedOutcomes) << Context;
+  EXPECT_EQ(A.AllowedKeys, keysOf(B.AllowedOutcomes)) << Context;
   // Per-model entries of a multi-model sweep do not carry the shared
   // ConsistentOutcomes set; callers with such entries compare the shared
   // set on the MultiSimulationResult themselves.
   if (CompareConsistentOutcomes) {
-    EXPECT_EQ(A.ConsistentOutcomes, B.ConsistentOutcomes) << Context;
+    EXPECT_EQ(A.ConsistentKeys, keysOf(B.ConsistentOutcomes)) << Context;
   }
   EXPECT_EQ(A.ConditionReachable, B.ConditionReachable) << Context;
 }
@@ -89,8 +124,8 @@ TEST(MultiModel, MatchesNaivePerModelOnFullCatalogue) {
     MultiSimulationResult Multi = simulateAll(*Compiled, Models);
     ASSERT_EQ(Multi.PerModel.size(), Models.size());
     for (size_t I = 0; I < Models.size(); ++I) {
-      SimulationResult Ref = naiveSimulate(*Compiled, *Models[I]);
-      EXPECT_EQ(Ref.ConsistentOutcomes, Multi.ConsistentOutcomes)
+      ReferenceResult Ref = naiveSimulate(*Compiled, *Models[I]);
+      EXPECT_EQ(Ref.ConsistentKeys, keysOf(Multi.ConsistentOutcomes))
           << Entry.Test.Name;
       expectSameResult(Ref, Multi.PerModel[I],
                        Entry.Test.Name + " under " + Models[I]->name(),
@@ -116,8 +151,8 @@ TEST(MultiModel, SharedFieldsComputedOnceAndMirrored) {
   for (const SimulationResult &R : Multi.PerModel) {
     EXPECT_EQ(R.CandidatesTotal, Multi.CandidatesTotal);
     EXPECT_EQ(R.CandidatesConsistent, Multi.CandidatesConsistent);
-    // The shared outcome set is NOT mirrored in a multi-model sweep:
-    // copying it into every entry dominated take() on wide model lists.
+    // The shared outcome set is NOT mirrored in a multi-model sweep: it
+    // lives once on the multi result.
     EXPECT_TRUE(R.ConsistentOutcomes.empty());
   }
   EXPECT_FALSE(Multi.ConsistentOutcomes.empty());
@@ -134,6 +169,121 @@ TEST(MultiModel, ForModelLookup) {
   EXPECT_FALSE(Multi.forModel("SC")->ConditionReachable);
   EXPECT_TRUE(Multi.forModel("TSO")->ConditionReachable);
   EXPECT_EQ(Multi.forModel("Power"), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// OutcomeSet: interned outcome tables and bitset subsets
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A key-sorted table of memory-only outcomes x=V, one per value.
+std::shared_ptr<const OutcomeTable> tableOf(std::vector<Value> Values) {
+  auto Table = std::make_shared<OutcomeTable>();
+  for (Value V : Values) {
+    Outcome O;
+    O.Memory["x"] = V;
+    O.enableKeyCache();
+    Table->push_back(std::move(O));
+  }
+  std::sort(Table->begin(), Table->end());
+  return Table;
+}
+
+/// The subset of \p Table at rows \p Rows.
+OutcomeSet subsetOf(std::shared_ptr<const OutcomeTable> Table,
+                    std::vector<size_t> Rows) {
+  OutcomeSet::Bits Members((Table->size() + 63) / 64, 0);
+  for (size_t Row : Rows)
+    Members[Row / 64] |= 1ull << (Row % 64);
+  return OutcomeSet(std::move(Table), std::move(Members));
+}
+
+} // namespace
+
+TEST(OutcomeSet, SeparateTablesCompareByContents) {
+  auto Wide = tableOf({0, 1, 2}); // x=0; x=1; x=2;
+  auto Narrow = tableOf({2, 1});  // x=1; x=2;
+  EXPECT_EQ(subsetOf(Wide, {1, 2}), OutcomeSet::all(Narrow));
+  EXPECT_EQ(OutcomeSet::all(Narrow), subsetOf(Wide, {1, 2}));
+  EXPECT_NE(OutcomeSet::all(Wide), OutcomeSet::all(Narrow));
+  // Same size, different members.
+  EXPECT_NE(subsetOf(Wide, {0, 1}), OutcomeSet::all(Narrow));
+  EXPECT_NE(subsetOf(Wide, {0, 2}), subsetOf(Wide, {1, 2}));
+  EXPECT_EQ(subsetOf(Wide, {0, 2}), subsetOf(tableOf({2, 0, 1}), {0, 2}));
+}
+
+TEST(OutcomeSet, IteratesMembersInAscendingKeyOrder) {
+  // 130 rows span three membership words; members sit on the word edges.
+  std::vector<Value> Values;
+  for (Value V = 0; V < 130; ++V)
+    Values.push_back(V);
+  auto Table = tableOf(Values);
+  OutcomeSet Set = subsetOf(Table, {129, 0, 64, 63});
+  EXPECT_EQ(Set.size(), 4u);
+  std::vector<std::string> Expected{(*Table)[0].key(), (*Table)[63].key(),
+                                    (*Table)[64].key(), (*Table)[129].key()};
+  EXPECT_EQ(keysOf(Set), Expected);
+  EXPECT_EQ(OutcomeSet::all(Table).size(), 130u);
+
+  // Engine results iterate strictly ascending too.
+  const CatalogEntry *Entry = catalogEntry("iriw+syncs");
+  ASSERT_NE(Entry, nullptr);
+  MultiSimulationResult Multi = simulateAll(Entry->Test, allModels());
+  std::vector<std::string> Keys = keysOf(Multi.ConsistentOutcomes);
+  ASSERT_GT(Keys.size(), 1u);
+  for (size_t I = 1; I < Keys.size(); ++I)
+    EXPECT_LT(Keys[I - 1], Keys[I]);
+  for (const SimulationResult &R : Multi.PerModel)
+    EXPECT_EQ(keysOf(R.AllowedOutcomes),
+              sortedDistinct(keysOf(R.AllowedOutcomes)))
+        << R.ModelName;
+}
+
+TEST(OutcomeSet, EmptySets) {
+  const OutcomeSet None;
+  EXPECT_TRUE(None.empty());
+  EXPECT_EQ(None.size(), 0u);
+  EXPECT_TRUE(None.begin() == None.end());
+  EXPECT_EQ(None, subsetOf(tableOf({0, 1}), {}));
+  EXPECT_EQ(None, OutcomeSet::all(tableOf({})));
+  EXPECT_TRUE(subsetOf(tableOf({0, 1}), {}).begin() ==
+              subsetOf(tableOf({0, 1}), {}).end());
+  EXPECT_NE(None, subsetOf(tableOf({0, 1}), {1}));
+}
+
+TEST(OutcomeSet, SeventyModelSweepMatchesOneModelSimulate) {
+  // More models than one 64-bit membership word: rows of the outcome
+  // table span two words, and every model's allowed set must still equal
+  // its own one-model run.
+  std::vector<const Model *> Models;
+  while (Models.size() < 70)
+    for (const Model *M : allModels())
+      if (Models.size() < 70)
+        Models.push_back(M);
+  for (const char *Name :
+       {"mp", "sb", "2+2w", "wrc+addrs", "w+rw+2w", "lb+data+fri-rfi-ctrl"}) {
+    const CatalogEntry *Entry = catalogEntry(Name);
+    ASSERT_NE(Entry, nullptr) << Name;
+    auto Compiled = CompiledTest::compile(Entry->Test);
+    ASSERT_TRUE(static_cast<bool>(Compiled)) << Name;
+    for (JudgeBackend Backend : {JudgeBackend::Pruned, JudgeBackend::Naive}) {
+      MultiSimulationResult Multi = simulateAll(*Compiled, Models, Backend);
+      ASSERT_EQ(Multi.PerModel.size(), Models.size());
+      for (size_t I = 0; I < Models.size(); ++I) {
+        const SimulationResult One = simulate(*Compiled, *Models[I]);
+        const SimulationResult &R = Multi.PerModel[I];
+        const std::string Where = std::string(Name) + " model #" +
+                                  std::to_string(I) + " " + R.ModelName +
+                                  " (" + judgeBackendName(Backend) + ")";
+        EXPECT_EQ(R.AllowedOutcomes, One.AllowedOutcomes) << Where;
+        EXPECT_EQ(keysOf(R.AllowedOutcomes), keysOf(One.AllowedOutcomes))
+            << Where;
+        EXPECT_EQ(R.ConditionReachable, One.ConditionReachable) << Where;
+        EXPECT_EQ(R.CandidatesAllowed, One.CandidatesAllowed) << Where;
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
