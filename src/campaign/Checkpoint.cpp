@@ -56,34 +56,35 @@ Expected<CheckpointState> cats::loadCheckpoint(const std::string &Path,
   // batch.
   CheckpointState State;
   std::vector<SweepTestResult> Entries;
-  while (std::getline(In, Line)) {
+  std::string Why; // set by the first line that ends the trusted prefix
+  for (size_t LineNo = 2; Why.empty() && std::getline(In, Line); ++LineNo) {
     if (Line.empty())
       continue;
     auto Doc = JsonValue::parse(Line);
-    if (!Doc || !Doc->isObject())
-      break; // torn tail
-    if (const JsonValue *Entry = Doc->get("entry")) {
+    const JsonValue *Entry = Doc ? Doc->get("entry") : nullptr;
+    const JsonValue *Progress = Doc ? Doc->get("progress") : nullptr;
+    unsigned long long Consumed = 0, Hits = 0, Misses = 0;
+    if (Entry) {
       auto T = sweepTestResultFromJson(*Entry);
-      if (!T)
-        break; // torn tail
-      Entries.push_back(T.take());
-      continue;
+      if (T)
+        Entries.push_back(T.take());
+      else
+        Why = T.message();
+    } else if (!Progress || !Progress->isObject()) {
+      Why = Doc ? "unknown line kind" : "torn line";
+    } else if (readCount(*Progress, "consumed", Consumed, Why) &&
+               readCount(*Progress, "hits", Hits, Why) &&
+               readCount(*Progress, "misses", Misses, Why)) {
+      if (Consumed > Entries.size()) {
+        Why = "progress past the entries before it";
+      } else {
+        State.Consumed = Consumed;
+        State.CacheHits = Hits;
+        State.CacheMisses = Misses;
+      }
     }
-    const JsonValue *Progress = Doc->get("progress");
-    if (!Progress || !Progress->isObject())
-      break; // unknown line kind: treat as torn
-    auto Count = [&](const char *Key) -> unsigned long long {
-      const JsonValue *V = Progress->get(Key);
-      return V && V->isNumber()
-                 ? static_cast<unsigned long long>(V->asNumber())
-                 : 0;
-    };
-    const unsigned long long Consumed = Count("consumed");
-    if (Consumed > Entries.size())
-      break; // inconsistent: trust only what precedes it
-    State.Consumed = Consumed;
-    State.CacheHits = Count("hits");
-    State.CacheMisses = Count("misses");
+    if (!Why.empty())
+      State.TrimReason = strFormat("line %zu: %s", LineNo, Why.c_str());
   }
   Entries.resize(static_cast<size_t>(State.Consumed));
   State.Tests = std::move(Entries);

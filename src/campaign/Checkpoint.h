@@ -55,10 +55,15 @@ struct CheckpointState {
   unsigned long long CacheMisses = 0;
   /// The completed entries, in source order.
   std::vector<SweepTestResult> Tests;
+  /// Why loading stopped before the end of the file: the line number and
+  /// diagnostic of the first torn or invalid line (e.g. a progress count
+  /// that is not an integer). Empty when every line was read.
+  std::string TrimReason;
 };
 
 /// Loads and validates \p Path. Fails on a missing/garbled header or a
-/// campaign-id mismatch; tolerates (and trims) a torn tail.
+/// campaign-id mismatch; tolerates (and trims, noting TrimReason) a torn
+/// or invalid tail.
 Expected<CheckpointState> loadCheckpoint(const std::string &Path,
                                          const std::string &CampaignId);
 

@@ -129,24 +129,18 @@ cats::mergeSweepReports(const std::vector<JsonValue> &Inputs) {
     if (schemaOf(Doc) != "cats-sweep-report/1")
       return Where("not a cats-sweep-report/1 document");
     SweepInput Part;
-    if (const JsonValue *Jobs = Doc.get("jobs"))
-      Part.Jobs = Jobs->isNumber() ? static_cast<unsigned>(Jobs->asNumber())
-                                   : 0;
+    std::string Bad;
+    if (!readCount(Doc, "jobs", Part.Jobs, Bad))
+      return Where(Bad);
     if (const JsonValue *Wall = Doc.get("wall_seconds"))
       Part.WallSeconds = Wall->isNumber() ? Wall->asNumber() : 0;
     if (const JsonValue *Cache = Doc.get("cache")) {
       if (!Cache->isObject())
         return Where("'cache' is not an object");
       Part.CacheUsed = true;
-      if (const JsonValue *Hits = Cache->get("hits"))
-        Part.CacheHits = Hits->isNumber()
-                             ? static_cast<unsigned long long>(Hits->asNumber())
-                             : 0;
-      if (const JsonValue *Misses = Cache->get("misses"))
-        Part.CacheMisses =
-            Misses->isNumber()
-                ? static_cast<unsigned long long>(Misses->asNumber())
-                : 0;
+      if (!readCount(*Cache, "hits", Part.CacheHits, Bad) ||
+          !readCount(*Cache, "misses", Part.CacheMisses, Bad))
+        return Where("cache: " + Bad);
     }
     Part.Tests = Doc.get("tests");
     if (!Part.Tests || !Part.Tests->isArray())

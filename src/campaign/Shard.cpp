@@ -58,13 +58,12 @@ Expected<ShardSpec> cats::shardFromJson(const JsonValue &Stanza) {
   using Ret = Expected<ShardSpec>;
   if (!Stanza.isObject())
     return Ret::error("'shard' stanza is not an object");
-  const JsonValue *Index = Stanza.get("index");
-  const JsonValue *Count = Stanza.get("count");
-  if (!Index || !Index->isNumber() || !Count || !Count->isNumber())
-    return Ret::error("'shard' stanza without numeric index/count");
+  // An absent index or count reads as 0, which the range check refuses.
   ShardSpec Spec;
-  Spec.Index = static_cast<unsigned>(Index->asNumber());
-  Spec.Count = static_cast<unsigned>(Count->asNumber());
+  std::string Bad;
+  if (!readCount(Stanza, "index", Spec.Index, Bad) ||
+      !readCount(Stanza, "count", Spec.Count, Bad))
+    return Ret::error("'shard' stanza: " + Bad);
   if (Spec.Index == 0 || Spec.Count == 0 || Spec.Index > Spec.Count)
     return Ret::error(strFormat("'shard' stanza %u/%u is out of range",
                                 Spec.Index, Spec.Count));

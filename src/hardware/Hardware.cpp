@@ -10,6 +10,8 @@
 #include "model/SimpleModels.h"
 #include "support/Rng.h"
 
+#include <unordered_map>
+
 using namespace cats;
 
 //===----------------------------------------------------------------------===//
@@ -221,8 +223,11 @@ HardwareRun cats::runOnHardware(const LitmusTest &Test,
     Mix = Mix * 1099511628211ULL + static_cast<unsigned char>(C);
   Rng R(Mix);
 
+  // Samples tally per candidate and fold into Observed by outcome at the
+  // end, so the map compares outcome keys per candidate, not per sample.
+  std::unordered_map<const Candidate *, uint64_t> Tally;
   auto Record = [&](const Candidate &Cand) {
-    ++Run.Observed[Cand.Out];
+    ++Tally[&Cand];
     if (Cand.Out.satisfies(Test.Final)) {
       if (!Run.ConditionObserved)
         Run.ConditionWitnesses.push_back(Cand.Exe);
@@ -245,5 +250,7 @@ HardwareRun cats::runOnHardware(const LitmusTest &Test,
     else if (!Weak.empty())
       Record(Weak[R.nextBelow(Weak.size())]);
   }
+  for (const auto &[Cand, N] : Tally)
+    Run.Observed[Cand->Out] += N;
   return Run;
 }

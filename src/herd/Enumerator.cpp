@@ -148,9 +148,9 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
     //
     // When the cross product is a single outcome (every location's final
     // value is forced — the norm on critical-cycle corpora), every leaf
-    // under this rf shares it, and the leaves below reuse the object
+    // under this rf shares it, and the leaves below reuse its table row
     // instead of rebuilding outcome and key per coherence permutation.
-    std::optional<Outcome> SoleOutcome;
+    std::optional<uint32_t> SoleRow;
     {
       for (size_t LI = 0; LI < AllLocs.size(); ++LI) {
         const CoLocation &L = AllLocs[LI];
@@ -165,7 +165,7 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
           Vals.erase(std::unique(Vals.begin(), Vals.end()), Vals.end());
         }
       }
-      SoleOutcome.reset();
+      SoleRow.reset();
       size_t OutcomeCount = 0;
       VPick.assign(AllLocs.size(), 0);
       while (true) {
@@ -174,12 +174,11 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
         for (size_t L = 0; L < AllLocs.size(); ++L)
           O.Memory[Skel.LocationNames[AllLocs[L].Loc]] =
               ValueSets[L][VPick[L]];
-        O.enableKeyCache();
-        Checker.accountConsistentOutcome(O);
+        const uint32_t Row = Checker.accountConsistentOutcome(O);
         if (++OutcomeCount == 1)
-          SoleOutcome = std::move(O);
+          SoleRow = Row;
         else
-          SoleOutcome.reset();
+          SoleRow.reset();
         size_t L = 0;
         for (; L < AllLocs.size(); ++L) {
           if (++VPick[L] < ValueSets[L].size())
@@ -236,26 +235,28 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
     // per leaf with the co-last value. Unused (and skipped) when the rf
     // has a sole outcome.
     std::map<std::string, Value> MemTemplate;
-    if (!SoleOutcome)
+    if (!SoleRow)
       for (const CoLocation &L : AllLocs)
         MemTemplate[Skel.LocationNames[L.Loc]] =
             C.EventVals[L.ProgramWrites.empty() ? L.InitWrite
                                                 : L.ProgramWrites.front()];
 
     auto leaf = [&]() {
-      // The leaf's outcome: the rf-level sole outcome when the final
-      // memory state is forced, otherwise built from the template with
-      // each multi-write location's co-last value.
-      Outcome Built;
-      if (!SoleOutcome) {
+      // The leaf's outcome row: the rf-level sole outcome's when the final
+      // memory state is forced, otherwise that of the outcome built from
+      // the template with each multi-write location's co-last value.
+      uint32_t Row;
+      if (SoleRow) {
+        Row = *SoleRow;
+      } else {
+        Outcome Built;
         Built.Regs = C.FinalRegs;
         Built.Memory = MemTemplate;
         for (size_t D = 0; D < Perm.size(); ++D)
           Built.Memory[Skel.LocationNames[AllLocs[BranchIdx[D]].Loc]] =
               C.EventVals[Perm[D].back()];
-        Built.enableKeyCache();
+        Row = Checker.accountConsistentOutcome(Built);
       }
-      const Outcome &O = SoleOutcome ? *SoleOutcome : Built;
 
       Relation Co = InitCo;
       for (size_t D = 0; D < Perm.size(); ++D)
@@ -266,7 +267,7 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
       Scratch.clearDerived();
 
       ++Stats.JudgedCandidates;
-      Checker.accountLeaf(Checker.judge(Scratch), Scratch, O);
+      Checker.accountLeaf(Checker.judge(Scratch), Scratch, Row);
     };
 
     // Commit one coherence permutation per multi-write location, pruning

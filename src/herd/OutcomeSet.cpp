@@ -51,7 +51,7 @@ bool OutcomeSet::operator==(const OutcomeSet &Other) const {
   // Separately built tables (a reparsed report, another backend): compare
   // the members pairwise; both sides iterate in key order.
   for (auto A = begin(), B = Other.begin(); A != end(); ++A, ++B)
-    if (!(*A == *B))
+    if (*A != *B)
       return false;
   return true;
 }

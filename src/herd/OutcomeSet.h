@@ -8,29 +8,29 @@
 /// The result representation of one test (Sec. 8.3): the candidates are
 /// enumerated once, so every model's allowed outcomes are a subset of the
 /// test's consistent outcomes. The distinct consistent outcomes are
-/// interned once into an immutable table sorted by Outcome::key(); the
-/// consistent set and each model's allowed set are membership bitsets over
-/// that shared table. Copying a set copies a pointer and its bits, never an
-/// Outcome.
+/// interned once into an immutable table of their Outcome::key() strings,
+/// sorted ascending; the consistent set and each model's allowed set are
+/// membership bitsets over that shared table. Copying a set copies a
+/// pointer and its bits, never a key.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CATS_HERD_OUTCOMESET_H
 #define CATS_HERD_OUTCOMESET_H
 
-#include "litmus/LitmusTest.h"
-
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace cats {
 
-/// The distinct consistent outcomes of one test, ascending by key, no
-/// duplicates. Immutable once built; shared by every OutcomeSet over it.
-using OutcomeTable = std::vector<Outcome>;
+/// The Outcome::key() strings of one test's distinct consistent outcomes,
+/// strictly ascending. Immutable once built; shared by every OutcomeSet
+/// over it.
+using OutcomeTable = std::vector<std::string>;
 
 /// A subset of one OutcomeTable. Iterates its members in ascending key
 /// order; equality compares contents, so sets over separately built
@@ -53,10 +53,10 @@ public:
   class const_iterator {
   public:
     using iterator_category = std::forward_iterator_tag;
-    using value_type = Outcome;
+    using value_type = std::string;
     using difference_type = std::ptrdiff_t;
-    using pointer = const Outcome *;
-    using reference = const Outcome &;
+    using pointer = const std::string *;
+    using reference = const std::string &;
 
     const_iterator() = default;
     reference operator*() const { return (*Set->Table)[Index]; }

@@ -175,7 +175,7 @@ void MultiModelChecker::feed(const Candidate &Cand) {
   JudgeBuf.resize(Models.size());
   for (size_t I = 0; I < Models.size(); ++I)
     JudgeBuf[I] = Models[I]->check(Cand.Exe);
-  accountLeaf(JudgeBuf, Cand.Exe, Cand.Out);
+  accountLeaf(JudgeBuf, Cand.Exe, intern(Cand.Out));
 }
 
 void MultiModelChecker::enableWitnessCapture() {
@@ -186,22 +186,21 @@ void MultiModelChecker::enableWitnessCapture() {
 }
 
 void MultiModelChecker::captureWitness(size_t ModelIdx, const Verdict &V,
-                                       const Execution &Exe,
-                                       const Outcome &O) {
+                                       const Execution &Exe, uint32_t Row) {
   WitnessSlot &S = Slots[ModelIdx];
   if (V.Allowed) {
     if (S.HaveAllow)
       return;
     S.HaveAllow = true;
     S.AllowExe = Exe;
-    S.AllowOut = O;
+    S.AllowRow = Row;
     return;
   }
   if (S.HaveKill || V.Violated.empty())
     return;
   S.HaveKill = true;
   S.KillExe = Exe;
-  S.KillOut = O;
+  S.KillRow = Row;
   S.KillAxiom = V.Violated.front();
 }
 
@@ -265,14 +264,10 @@ const std::vector<Verdict> &MultiModelChecker::judge(const Execution &Exe) {
   return JudgeBuf;
 }
 
-size_t MultiModelChecker::intern(const Outcome &O) {
+uint32_t MultiModelChecker::intern(const Outcome &O) {
   auto [It, New] =
-      RowOf.try_emplace(O.key(), static_cast<uint32_t>(Table.size()));
+      RowOf.try_emplace(O.key(), static_cast<uint32_t>(Satisfies.size()));
   if (New) {
-    Table.push_back(O);
-    // The row is final: later key() calls (the sort in take(), the report
-    // writer) reuse one built key.
-    Table.back().enableKeyCache();
     Satisfies.push_back(O.satisfies(Final));
     Allowed.resize(Allowed.size() + RowWords, 0);
   }
@@ -280,14 +275,13 @@ size_t MultiModelChecker::intern(const Outcome &O) {
 }
 
 void MultiModelChecker::accountLeaf(const std::vector<Verdict> &Verdicts,
-                                    const Execution &Exe, const Outcome &O) {
-  const size_t Row = intern(O);
+                                    const Execution &Exe, uint32_t Row) {
   const bool Satisfying = Satisfies[Row];
   uint64_t *Bits = &Allowed[Row * RowWords];
   for (size_t I = 0; I < Models.size(); ++I) {
     const Verdict &V = Verdicts[I];
     if (WitnessMode && Satisfying)
-      captureWitness(I, V, Exe, O);
+      captureWitness(I, V, Exe, Row);
     if (!V.Allowed) {
       if (Metrics)
         for (Axiom A : V.Violated)
@@ -307,21 +301,29 @@ void MultiModelChecker::accountPrunedMass(unsigned long long N) {
 }
 
 MultiSimulationResult MultiModelChecker::take() {
-  // Sort the table by key once, then transpose each model's column of
-  // membership bits into key order. A model reaches the final condition
-  // iff it allowed some satisfying outcome.
-  const size_t N = Table.size();
+  // Move the keys out of RowOf into row order, sort the rows by key once,
+  // then transpose each model's column of membership bits into key order.
+  // A model reaches the final condition iff it allowed some satisfying
+  // outcome.
+  const size_t N = Satisfies.size();
+  std::vector<std::string> Keys(N);
+  while (!RowOf.empty()) {
+    auto Node = RowOf.extract(RowOf.begin());
+    Keys[Node.mapped()] = std::move(Node.key());
+  }
   std::vector<uint32_t> Order(N);
   std::iota(Order.begin(), Order.end(), 0u);
   std::sort(Order.begin(), Order.end(),
-            [&](uint32_t A, uint32_t B) { return Table[A] < Table[B]; });
+            [&](uint32_t A, uint32_t B) { return Keys[A] < Keys[B]; });
   auto Sorted = std::make_shared<OutcomeTable>();
   Sorted->reserve(N);
+  std::vector<uint32_t> PosOf(N);
   std::vector<OutcomeSet::Bits> ModelBits(Models.size(),
                                           OutcomeSet::Bits((N + 63) / 64, 0));
   for (size_t Pos = 0; Pos < N; ++Pos) {
     const size_t Row = Order[Pos];
-    Sorted->push_back(std::move(Table[Row]));
+    PosOf[Row] = static_cast<uint32_t>(Pos);
+    Sorted->push_back(std::move(Keys[Row]));
     const uint64_t *Bits = &Allowed[Row * RowWords];
     for (size_t I = 0; I < Models.size(); ++I) {
       if (!(Bits[I / 64] >> (I % 64) & 1))
@@ -334,18 +336,14 @@ MultiSimulationResult MultiModelChecker::take() {
   for (size_t I = 0; I < Models.size(); ++I)
     Result.PerModel[I].AllowedOutcomes =
         OutcomeSet(Sorted, std::move(ModelBits[I]));
+  const OutcomeTable &Table = *Sorted;
   Result.ConsistentOutcomes = OutcomeSet::all(std::move(Sorted));
 
-  // Mirror the shared counts so each PerModel entry stands alone. The
-  // shared ConsistentOutcomes set is only mirrored in the single-model
-  // case, where the simulate() facade returns that lone entry detached
-  // from the multi result.
+  // Mirror the shared counts so each PerModel entry stands alone.
   for (SimulationResult &R : Result.PerModel) {
     R.CandidatesTotal = Result.CandidatesTotal;
     R.CandidatesConsistent = Result.CandidatesConsistent;
   }
-  if (Result.PerModel.size() == 1)
-    Result.PerModel.front().ConsistentOutcomes = Result.ConsistentOutcomes;
 
   // Assemble the captured witness slots now that every verdict is final.
   // A slot can be empty when the backend never materialized evidence for
@@ -357,10 +355,12 @@ MultiSimulationResult MultiModelChecker::take() {
       const WitnessSlot &S = Slots[I];
       if (R.ConditionReachable && S.HaveAllow)
         Result.Witnesses.push_back(obs::makeAllowedWitness(
-            Result.TestName, R.ModelName, S.AllowExe, S.AllowOut));
+            Result.TestName, R.ModelName, S.AllowExe,
+            Table[PosOf[S.AllowRow]]));
       else if (!R.ConditionReachable && S.HaveKill)
         Result.Witnesses.push_back(obs::makeKillWitness(
-            Result.TestName, *Models[I], S.KillAxiom, S.KillExe, S.KillOut));
+            Result.TestName, *Models[I], S.KillAxiom, S.KillExe,
+            Table[PosOf[S.KillRow]]));
     }
     if (HaveCut)
       Result.Witnesses.push_back(obs::makePruneCutWitness(
@@ -466,8 +466,8 @@ void cats::completeWitnesses(const CompiledTest &Compiled,
   // verdicts are condition-level facts, not axiom kills: emit the marker
   // without walking a single candidate.
   bool Satisfiable = false;
-  for (const Outcome &O : Result.ConsistentOutcomes)
-    if (O.satisfies(Final)) {
+  for (const std::string &Key : Result.ConsistentOutcomes)
+    if (outcomeFromKey(Key)->satisfies(Final)) {
       Satisfiable = true;
       break;
     }
@@ -494,11 +494,11 @@ void cats::completeWitnesses(const CompiledTest &Compiled,
       const bool Reachable = Result.PerModel[I].ConditionReachable;
       if (Reachable && V.Allowed) {
         Result.Witnesses.push_back(obs::makeAllowedWitness(
-            Result.TestName, Models[I]->name(), Cand.Exe, Cand.Out));
+            Result.TestName, Models[I]->name(), Cand.Exe, Cand.Out.key()));
       } else if (!Reachable && !V.Allowed && !V.Violated.empty()) {
         Result.Witnesses.push_back(obs::makeKillWitness(
             Result.TestName, *Models[I], V.Violated.front(), Cand.Exe,
-            Cand.Out));
+            Cand.Out.key()));
       } else {
         continue;
       }
@@ -551,11 +551,10 @@ std::string cats::herdStyleReport(const SimulationResult &Result,
                     (Result.ConditionReachable ? "Allowed" : "Forbidden") +
                     "\n";
   Out += "States " + std::to_string(Result.AllowedOutcomes.size()) + "\n";
-  for (const Outcome &State : Result.AllowedOutcomes) {
+  for (const std::string &Key : Result.AllowedOutcomes) {
     // The key is already "t:rN=v;loc=v;..." — reformat with spaces.
-    std::string Line = State.key();
     std::string Spaced;
-    for (char C : Line) {
+    for (char C : Key) {
       Spaced += C;
       if (C == ';')
         Spaced += ' ';

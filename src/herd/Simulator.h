@@ -43,10 +43,6 @@ struct SimulationResult {
   /// Distinct outcomes of allowed candidates: a subset of the test's
   /// consistent outcome table.
   OutcomeSet AllowedOutcomes;
-  /// Distinct outcomes over all consistent candidates (any model).
-  /// Populated by the single-model simulate(); in a multi-model sweep the
-  /// set is shared and lives on MultiSimulationResult instead.
-  OutcomeSet ConsistentOutcomes;
   /// True if some allowed candidate satisfies the test's final condition.
   bool ConditionReachable = false;
 
@@ -70,9 +66,8 @@ struct MultiSimulationResult {
   /// model's AllowedOutcomes is a subset of the same outcome table.
   OutcomeSet ConsistentOutcomes;
   /// One entry per requested model, in request order. The shared counts
-  /// above are mirrored into each entry; the shared ConsistentOutcomes set
-  /// is only mirrored when exactly one model was requested, so
-  /// simulate()'s detached return value stays a complete SimulationResult.
+  /// above are mirrored into each entry; the consistent set lives only
+  /// here.
   std::vector<SimulationResult> PerModel;
   /// Verdict evidence, only populated when witness capture was enabled
   /// (docs/explain.md): per model one witness backing its verdict, plus
@@ -127,12 +122,12 @@ struct EnumerationStats {
 };
 
 /// Accumulates per-model verdicts over a stream of candidates. Both
-/// backends share one accounting path: each outcome is interned once into
-/// the test's outcome table (a key-to-index hash; the final condition is
-/// evaluated on first sighting), and a verdict only sets the model's bit in
-/// that outcome's row. Feed every candidate of one compiled test, then call
-/// take(), which sorts the table by key and hands every model's allowed set
-/// out as a bitset over it (OutcomeSet).
+/// backends share one accounting path: each outcome's key is interned once
+/// into a row of the test's outcome table (a key-to-row hash; the final
+/// condition is evaluated on first sighting), and a verdict only sets the
+/// model's bit in that row. Feed every candidate of one compiled test, then
+/// call take(), which sorts the rows by key and hands every model's allowed
+/// set out as a bitset over the key table (OutcomeSet).
 ///
 /// This is the engine under both simulate() overloads and the sweep
 /// subsystem; instances are single-use and not thread-safe (one checker
@@ -164,10 +159,10 @@ public:
     Result.CandidatesConsistent += N;
   }
 
-  /// Records one model-independent consistent outcome. First sighting of
-  /// a key pays the table append and the final-condition evaluation;
-  /// repeats are a hash lookup.
-  void accountConsistentOutcome(const Outcome &O) { intern(O); }
+  /// Records one model-independent consistent outcome and returns its
+  /// row. First sighting of a key pays the row append and the
+  /// final-condition evaluation; repeats are a hash lookup.
+  uint32_t accountConsistentOutcome(const Outcome &O) { return intern(O); }
 
   unsigned long long consistentCount() const {
     return Result.CandidatesConsistent;
@@ -190,12 +185,11 @@ public:
   /// agree.
   const std::vector<Verdict> &judge(const Execution &Exe);
 
-  /// Accounts the leaf \p Exe just judged with its \p Verdicts and its
-  /// outcome \p O: interns \p O (on the pruned path the closed-form pass
-  /// of the leaf's rf has already recorded it), bumps each allowing
-  /// model's count and sets its bit in the outcome's row.
+  /// Accounts the leaf \p Exe just judged with its \p Verdicts; \p Row is
+  /// its outcome's row from accountConsistentOutcome. Bumps each allowing
+  /// model's count and sets its bit in the row.
   void accountLeaf(const std::vector<Verdict> &Verdicts, const Execution &Exe,
-                   const Outcome &O);
+                   uint32_t Row);
 
   /// Accounts \p N consistent candidates whose every coherence completion
   /// was pruned on a po-loc | com cycle: all of them are rejected by SC
@@ -258,31 +252,30 @@ private:
   /// Lemma 4.1 reference formulation instead of the four-axiom check.
   enum class RefFormulation : uint8_t { None, Sc, Tso };
   std::vector<RefFormulation> RefPath;
-  /// The test's outcome table under construction, in first-sighting
+  /// The test's outcome table under construction, rows in first-sighting
   /// order: RowOf maps a key to its row, Satisfies caches the final
   /// condition per row, and Allowed holds RowWords membership words per
   /// row (bit I = Models[I] allowed some candidate with that outcome).
-  /// take() sorts the rows by key and transposes the bits into one
-  /// OutcomeSet per model.
+  /// take() moves the keys out of RowOf, sorts the rows by key and
+  /// transposes the bits into one OutcomeSet per model.
   std::unordered_map<std::string, uint32_t> RowOf;
-  OutcomeTable Table;
   std::vector<char> Satisfies;
   std::vector<uint64_t> Allowed;
   size_t RowWords = 0;
   /// The row of \p O, appending it on first sighting.
-  size_t intern(const Outcome &O);
+  uint32_t intern(const Outcome &O);
   EnumerationStats Stats;
   bool HaveStats = false;
   /// Witness capture (enableWitnessCapture). Slots hold, per model, the
-  /// first satisfying execution seen allowed and the first seen killed;
-  /// the cut slot holds the first enumerator prune cut. take() turns the
-  /// slots into Result.Witnesses.
+  /// first satisfying execution seen allowed and the first seen killed,
+  /// each with its outcome's row; the cut slot holds the first enumerator
+  /// prune cut. take() turns the slots into Result.Witnesses.
   bool WitnessMode = false;
   struct WitnessSlot {
     bool HaveAllow = false;
     bool HaveKill = false;
     Execution AllowExe, KillExe;
-    Outcome AllowOut, KillOut;
+    uint32_t AllowRow = 0, KillRow = 0;
     Axiom KillAxiom = Axiom::ScPerLocation;
   };
   std::vector<WitnessSlot> Slots;
@@ -291,7 +284,7 @@ private:
   std::vector<LabeledEdge> CutCycle;
   /// feed()/accountLeaf capture body.
   void captureWitness(size_t ModelIdx, const Verdict &V, const Execution &Exe,
-                      const Outcome &O);
+                      uint32_t Row);
 };
 
 /// Knobs of one simulateAll run beyond the model set.

@@ -382,7 +382,5 @@ Candidate CompiledTest::concretize(const std::vector<EventId> &WriteForRead,
     }
     Out.Out.Memory[Out.Exe.LocationNames[Loc]] = Out.Exe.event(Last).Val;
   }
-  // The outcome is final: let set/map operations memoize its key.
-  Out.Out.enableKeyCache();
   return Out;
 }

@@ -7,11 +7,11 @@
 #include "litmus/LitmusTest.h"
 
 #include "event/Execution.h"
-#include "obs/Metrics.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <set>
 
 using namespace cats;
@@ -184,14 +184,25 @@ void appendInt(std::string &Out, long long V) {
   Out.append(P, End);
 }
 
-// Hot path: a key is built for every fresh outcome both backends
-// materialize, so this formats digits directly instead of going through
-// strFormat's double vsnprintf.
-std::string buildOutcomeKey(const Outcome &O) {
+/// Parses the whole of \p Text as a signed decimal value.
+bool parseValue(const std::string &Text, long long &Out) {
+  if (Text.empty())
+    return false;
+  char *End = nullptr;
+  Out = std::strtoll(Text.c_str(), &End, 10);
+  return End && *End == '\0';
+}
+
+} // namespace
+
+// Hot path: both backends build a key for every outcome they intern, so
+// this formats digits directly instead of going through strFormat's
+// double vsnprintf.
+std::string Outcome::key() const {
   std::string Out;
   Out.reserve(64);
-  for (size_t T = 0; T < O.Regs.size(); ++T)
-    for (const auto &[R, V] : O.Regs[T]) {
+  for (size_t T = 0; T < Regs.size(); ++T)
+    for (const auto &[R, V] : Regs[T]) {
       appendInt(Out, static_cast<long long>(T));
       Out += ":r";
       appendInt(Out, R);
@@ -199,7 +210,7 @@ std::string buildOutcomeKey(const Outcome &O) {
       appendInt(Out, V);
       Out += ';';
     }
-  for (const auto &[Loc, V] : O.Memory) {
+  for (const auto &[Loc, V] : Memory) {
     Out += Loc;
     Out += '=';
     appendInt(Out, V);
@@ -208,40 +219,44 @@ std::string buildOutcomeKey(const Outcome &O) {
   return Out;
 }
 
-} // namespace
-
-std::string Outcome::key() const {
-  return KeyCacheEnabled ? keyRef() : buildOutcomeKey(*this);
-}
-
-const std::string &Outcome::keyRef() const {
-  // Static instrument handles: this runs per outcome-set comparison, so
-  // each tick must stay a sharded relaxed add, not a registry lookup.
-  static obs::Counter &Builds = obs::counter("memo.outcome_key_builds");
-  static obs::Counter &Hits = obs::counter("memo.outcome_key_hits");
-  if (!KeyCacheValid) {
-    KeyCache = buildOutcomeKey(*this);
-    KeyCacheValid = true;
-    if (obs::metricsEnabled())
-      Builds.add(1);
-  } else if (obs::metricsEnabled()) {
-    Hits.add(1);
+Expected<Outcome> cats::outcomeFromKey(const std::string &Key) {
+  auto Bad = [&](const char *Why) {
+    return Expected<Outcome>::error(
+        strFormat("bad outcome key '%s': %s", Key.c_str(), Why));
+  };
+  Outcome Out;
+  size_t Pos = 0;
+  while (Pos < Key.size()) {
+    const size_t End = Key.find(';', Pos);
+    if (End == std::string::npos)
+      return Bad("field without trailing ';'");
+    const std::string Field = Key.substr(Pos, End - Pos);
+    Pos = End + 1;
+    const size_t Eq = Field.rfind('=');
+    if (Eq == std::string::npos || Eq == 0)
+      return Bad("field without '='");
+    long long Val = 0;
+    if (!parseValue(Field.substr(Eq + 1), Val))
+      return Bad("unparsable value");
+    const std::string Left = Field.substr(0, Eq);
+    // "T:rR" is a register field; anything else is a memory location
+    // (litmus location names cannot contain ':').
+    const size_t Colon = Left.find(':');
+    if (Colon != std::string::npos) {
+      long long Thread = 0, Reg = 0;
+      if (!parseValue(Left.substr(0, Colon), Thread) || Thread < 0 ||
+          Colon + 1 >= Left.size() || Left[Colon + 1] != 'r' ||
+          !parseValue(Left.substr(Colon + 2), Reg))
+        return Bad("malformed register field");
+      if (Out.Regs.size() <= static_cast<size_t>(Thread))
+        Out.Regs.resize(static_cast<size_t>(Thread) + 1);
+      Out.Regs[static_cast<size_t>(Thread)][static_cast<Register>(Reg)] =
+          static_cast<Value>(Val);
+    } else {
+      Out.Memory[Left] = static_cast<Value>(Val);
+    }
   }
-  return KeyCache;
-}
-
-bool Outcome::operator<(const Outcome &Other) const {
-  // Compare via the caches when both sides have them (the common case in
-  // outcome sets, where stored elements were inserted cache-warm).
-  if (KeyCacheEnabled && Other.KeyCacheEnabled)
-    return keyRef() < Other.keyRef();
-  return key() < Other.key();
-}
-
-bool Outcome::operator==(const Outcome &Other) const {
-  if (KeyCacheEnabled && Other.KeyCacheEnabled)
-    return keyRef() == Other.keyRef();
-  return key() == Other.key();
+  return Out;
 }
 
 std::vector<std::string> LitmusTest::locations() const {

@@ -17,6 +17,7 @@
 
 #include "event/Event.h"
 #include "litmus/Instruction.h"
+#include "support/Error.h"
 
 #include <map>
 #include <string>
@@ -105,27 +106,17 @@ struct Outcome {
   bool satisfies(const Condition &Cond) const;
 
   /// Canonical textual key, usable as a set element when collecting the
-  /// distinct final states of a test.
+  /// distinct final states of a test. Outcome tables and reports hold
+  /// outcomes as these keys; outcomeFromKey is the inverse.
   std::string key() const;
 
-  /// Enables memoization of key(). Only call once the outcome is final
-  /// (the litmus compiler enables it on every concretized candidate):
-  /// mutating Regs/Memory afterwards yields a stale key. Set/map
-  /// operations between cached outcomes then compare without rebuilding
-  /// the key string each time.
-  void enableKeyCache() const { KeyCacheEnabled = true; }
-
-  bool operator<(const Outcome &Other) const;
-  bool operator==(const Outcome &Other) const;
-
-private:
-  /// keyRef() fills KeyCache on first use when enabled; copies of the
-  /// outcome (e.g. inside a std::set) carry the warm cache along.
-  const std::string &keyRef() const;
-  mutable std::string KeyCache;
-  mutable bool KeyCacheEnabled = false;
-  mutable bool KeyCacheValid = false;
+  bool operator<(const Outcome &Other) const { return key() < Other.key(); }
 };
+
+/// Parses an Outcome::key() string ("0:r1=1;x=2;...") back into an
+/// Outcome. The rebuilt outcome's key() is the canonical form of \p Key:
+/// equal to \p Key for every key() string.
+Expected<Outcome> outcomeFromKey(const std::string &Key);
 
 /// A complete litmus test.
 struct LitmusTest {

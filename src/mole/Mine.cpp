@@ -205,12 +205,6 @@ JsonValue staticToJson(const MoleReport &R, const MineReport &Mine) {
 
 namespace {
 
-unsigned long long jsonCount(const JsonValue &Obj, const char *Key) {
-  const JsonValue *V = Obj.get(Key);
-  return V && V->isNumber() ? static_cast<unsigned long long>(V->asNumber())
-                            : 0;
-}
-
 std::string jsonString(const JsonValue &Obj, const char *Key) {
   const JsonValue *V = Obj.get(Key);
   return V && V->isString() ? V->asString() : std::string();
@@ -224,7 +218,9 @@ Expected<FamilyVerdicts> familyFromJson(const JsonValue &Entry) {
   F.Family = jsonString(Entry, "family");
   if (F.Family.empty())
     return Ret::error("family entry without a name");
-  F.Tests = static_cast<unsigned>(jsonCount(Entry, "tests"));
+  std::string Bad;
+  if (!readCount(Entry, "tests", F.Tests, Bad))
+    return Ret::error(F.Family + ": " + Bad);
   const JsonValue *Models = Entry.get("models");
   if (!Models || !Models->isArray())
     return Ret::error(F.Family + ": family without a 'models' array");
@@ -235,19 +231,21 @@ Expected<FamilyVerdicts> familyFromJson(const JsonValue &Entry) {
     S.Model = jsonString(M, "model");
     if (S.Model.empty())
       return Ret::error(F.Family + ": model entry without a name");
-    S.Allowed = static_cast<unsigned>(jsonCount(M, "allowed"));
-    S.Forbidden = static_cast<unsigned>(jsonCount(M, "forbidden"));
+    if (!readCount(M, "allowed", S.Allowed, Bad) ||
+        !readCount(M, "forbidden", S.Forbidden, Bad))
+      return Ret::error(F.Family + ": " + Bad);
     F.PerModel.push_back(std::move(S));
   }
   if (const JsonValue *Empirical = Entry.get("empirical")) {
     if (!Empirical->isObject())
       return Ret::error(F.Family + ": 'empirical' is not an object");
     F.HasEmpirical = true;
-    F.Empirical.Tests = static_cast<unsigned>(jsonCount(*Empirical, "tests"));
-    F.Empirical.Observed =
-        static_cast<unsigned>(jsonCount(*Empirical, "observed"));
-    F.Empirical.Iterations = jsonCount(*Empirical, "iterations");
-    F.Empirical.OutsideModel = jsonCount(*Empirical, "outside_model");
+    if (!readCount(*Empirical, "tests", F.Empirical.Tests, Bad) ||
+        !readCount(*Empirical, "observed", F.Empirical.Observed, Bad) ||
+        !readCount(*Empirical, "iterations", F.Empirical.Iterations, Bad) ||
+        !readCount(*Empirical, "outside_model", F.Empirical.OutsideModel,
+                   Bad))
+      return Ret::error(F.Family + ": empirical: " + Bad);
   }
   if (const JsonValue *Names = Entry.get("test_names")) {
     if (!Names->isArray())
@@ -277,8 +275,10 @@ Expected<MineReport> cats::mineReportFromJson(const JsonValue &Root) {
     return Ret::error("report without a 'corpus' object");
 
   MineReport Out;
-  Out.CorpusTests = static_cast<unsigned>(jsonCount(*Corpus, "tests"));
-  Out.CorpusErrors = static_cast<unsigned>(jsonCount(*Corpus, "errors"));
+  std::string Bad;
+  if (!readCount(*Corpus, "tests", Out.CorpusTests, Bad) ||
+      !readCount(*Corpus, "errors", Out.CorpusErrors, Bad))
+    return Ret::error("corpus: " + Bad);
   if (const JsonValue *Models = Corpus->get("models")) {
     if (!Models->isArray())
       return Ret::error("'models' is not an array");

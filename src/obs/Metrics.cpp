@@ -122,9 +122,17 @@ bool wrongShape(const JsonValue &Doc, std::string &Error) {
   return false;
 }
 
-unsigned long long numberOf(const JsonValue *V) {
-  return V && V->isNumber() ? static_cast<unsigned long long>(V->asNumber())
-                            : 0;
+/// Adds the count \p V to \p Sum; false with \p Error naming \p Field
+/// when \p V is not a count.
+bool addCount(const JsonValue *V, const std::string &Field,
+              unsigned long long &Sum, std::string &Error) {
+  auto N = jsonCount(V, Field);
+  if (!N) {
+    Error = N.message();
+    return false;
+  }
+  Sum += *N;
+  return true;
 }
 
 } // namespace
@@ -145,7 +153,8 @@ bool obs::mergeMetricsJson(JsonValue &Into, const JsonValue &From,
         return false;
       }
       for (const auto &[Name, V] : C->members())
-        Counters[Name] += numberOf(&V);
+        if (!addCount(&V, "counters." + Name, Counters[Name], Error))
+          return false;
     }
 
   // Histograms: count/sum add, buckets merge by index.
@@ -167,8 +176,10 @@ bool obs::mergeMetricsJson(JsonValue &Into, const JsonValue &From,
           return false;
         }
         Hist &H = Histograms[Name];
-        H.Count += numberOf(V.get("count"));
-        H.Sum += numberOf(V.get("sum"));
+        const std::string Field = "histograms." + Name;
+        if (!addCount(V.get("count"), Field + ".count", H.Count, Error) ||
+            !addCount(V.get("sum"), Field + ".sum", H.Sum, Error))
+          return false;
         if (const JsonValue *Buckets = V.get("buckets")) {
           if (!Buckets->isArray()) {
             Error = strFormat("histogram '%s' buckets is not an array",
@@ -181,8 +192,12 @@ bool obs::mergeMetricsJson(JsonValue &Into, const JsonValue &From,
                                 Name.c_str());
               return false;
             }
-            H.Buckets[numberOf(&Pair.elements()[0])] +=
-                numberOf(&Pair.elements()[1]);
+            unsigned long long Bucket = 0;
+            if (!addCount(&Pair.elements()[0], Field + ".buckets", Bucket,
+                          Error) ||
+                !addCount(&Pair.elements()[1], Field + ".buckets",
+                          H.Buckets[Bucket], Error))
+              return false;
           }
         }
       }

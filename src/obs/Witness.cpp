@@ -81,27 +81,27 @@ void cats::obs::populateExecution(Witness &W, const Execution &Exe) {
 Witness cats::obs::makeAllowedWitness(const std::string &Test,
                                       const std::string &Model,
                                       const Execution &Exe,
-                                      const Outcome &O) {
+                                      const std::string &OutcomeKey) {
   Witness W;
   W.Test = Test;
   W.Model = Model;
   W.Verdict = "Allow";
   W.Kind = WitnessKind::AllowedExecution;
-  W.Outcome = O.key();
+  W.Outcome = OutcomeKey;
   populateExecution(W, Exe);
   return W;
 }
 
 Witness cats::obs::makeKillWitness(const std::string &Test, const Model &M,
                                    Axiom A, const Execution &Exe,
-                                   const Outcome &O) {
+                                   const std::string &OutcomeKey) {
   Witness W;
   W.Test = Test;
   W.Model = M.name();
   W.Verdict = "Forbid";
   W.Kind = WitnessKind::AxiomCycle;
   W.Axiom = axiomName(A);
-  W.Outcome = O.key();
+  W.Outcome = OutcomeKey;
   populateExecution(W, Exe);
   W.Cycle = M.explainViolation(A, Exe);
   return W;

@@ -105,14 +105,16 @@ struct Witness {
 /// Fills Events and Edges from \p Exe (nodes, reduced po/co, rf, fr).
 void populateExecution(Witness &W, const Execution &Exe);
 
-/// Witness for an allowed outcome: \p Exe realizes \p O under the model.
+/// Witness for an allowed outcome: \p Exe realizes the outcome keyed
+/// \p OutcomeKey (Outcome::key()) under the model.
 Witness makeAllowedWitness(const std::string &Test, const std::string &Model,
-                           const Execution &Exe, const Outcome &O);
+                           const Execution &Exe,
+                           const std::string &OutcomeKey);
 
 /// Witness for a killed candidate: \p M forbids \p Exe, first failing
 /// axiom \p A; the cycle comes from Model::explainViolation.
 Witness makeKillWitness(const std::string &Test, const Model &M, Axiom A,
-                        const Execution &Exe, const Outcome &O);
+                        const Execution &Exe, const std::string &OutcomeKey);
 
 /// Model-independent witness for an enumerator prune cut: \p Partial is
 /// the scratch execution at the cut and \p Cycle the po-loc | com cycle

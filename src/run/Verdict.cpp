@@ -58,13 +58,12 @@ void judgeWith(const LitmusTest &Test, const SimulationResult &Ref,
                const SimulationResult &Sc,
                const OutcomeSet &ConsistentOutcomes,
                RunTestResult &Result) {
-  std::set<std::string> AllowedRef, AllowedSc, Consistent;
-  for (const Outcome &O : Ref.AllowedOutcomes)
-    AllowedRef.insert(O.key());
-  for (const Outcome &O : Sc.AllowedOutcomes)
-    AllowedSc.insert(O.key());
-  for (const Outcome &O : ConsistentOutcomes)
-    Consistent.insert(O.key());
+  const std::set<std::string> AllowedRef(Ref.AllowedOutcomes.begin(),
+                                         Ref.AllowedOutcomes.end());
+  const std::set<std::string> AllowedSc(Sc.AllowedOutcomes.begin(),
+                                        Sc.AllowedOutcomes.end());
+  const std::set<std::string> Consistent(ConsistentOutcomes.begin(),
+                                         ConsistentOutcomes.end());
 
   Result.ModelName = Ref.ModelName;
   Result.ConditionAllowedByModel = Ref.ConditionReachable;

@@ -6,6 +6,8 @@
 
 #include "sweep/Json.h"
 
+#include "support/StringUtils.h"
+
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -35,6 +37,22 @@ bool JsonValue::asBool() const {
 double JsonValue::asNumber() const {
   assert(isNumber() && "not a number");
   return NumberValue;
+}
+
+Expected<unsigned long long> cats::jsonCount(const JsonValue *V,
+                                             const std::string &Field,
+                                             unsigned long long Max) {
+  using Ret = Expected<unsigned long long>;
+  if (!V)
+    return 0ull;
+  if (!V->isNumber())
+    return Ret::error(strFormat("'%s' is not a number", Field.c_str()));
+  // The range test also rejects NaN; the floor test, fractions.
+  const double N = V->asNumber();
+  if (N >= 0 && N <= static_cast<double>(Max) && N == std::floor(N))
+    return static_cast<unsigned long long>(N);
+  return Ret::error(strFormat("'%s' is %s, not a count in [0, %llu]",
+                              Field.c_str(), V->dump(0).c_str(), Max));
 }
 
 const std::string &JsonValue::asString() const {

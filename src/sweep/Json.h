@@ -21,6 +21,8 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,6 +94,33 @@ private:
   std::vector<JsonValue> Elements;
   std::vector<std::pair<std::string, JsonValue>> Members;
 };
+
+/// The largest count a JSON number (an IEEE double) holds exactly: 2^53.
+constexpr unsigned long long MaxJsonCount = 1ull << 53;
+
+/// Reads \p V as a count: an integral number in [0, \p Max]. A null \p V
+/// (an absent member) reads as 0. Anything else — a non-number, a
+/// negative or fractional value, or one above \p Max — is an error naming
+/// \p Field.
+Expected<unsigned long long> jsonCount(const JsonValue *V,
+                                       const std::string &Field,
+                                       unsigned long long Max = MaxJsonCount);
+
+/// Reads the count member \p Key of \p Obj into \p Out (0 when absent),
+/// bounded by the range of \p T as well. On a bad count returns false and
+/// sets \p Error as jsonCount would, so reads chain with ||.
+template <typename T>
+bool readCount(const JsonValue &Obj, const char *Key, T &Out,
+               std::string &Error) {
+  auto N = jsonCount(Obj.get(Key), Key,
+                     std::min<unsigned long long>(
+                         MaxJsonCount, std::numeric_limits<T>::max()));
+  if (N)
+    Out = static_cast<T>(*N);
+  else
+    Error = N.message();
+  return static_cast<bool>(N);
+}
 
 } // namespace cats
 

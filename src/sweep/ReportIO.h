@@ -14,9 +14,10 @@
 /// prefix, and cats_merge folds shard reports into one.
 ///
 /// Rendering a parsed entry is byte-identical to rendering the original:
-/// consistent-state keys reparse into Outcomes whose key() rebuilds the
-/// same string, allowed-state keys resolve to rows of that table, and
-/// every count is integral (exact in the JSON number type).
+/// the consistent-state keys become the test's outcome table (sorted key
+/// strings, each canonicalized through outcomeFromKey), allowed-state
+/// keys resolve to rows of that table, and every count is integral (exact
+/// in the JSON number type).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +30,6 @@
 #include <string>
 
 namespace cats {
-
-/// Parses an Outcome::key() string ("0:r1=1;x=2;...") back into an
-/// Outcome. The rebuilt outcome's key() equals \p Key exactly.
-Expected<Outcome> outcomeFromKey(const std::string &Key);
 
 /// Renders one per-test entry of the "tests" array (the same rendering
 /// sweepReportToJson uses).

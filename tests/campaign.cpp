@@ -20,14 +20,17 @@
 #include "campaign/ResultCache.h"
 #include "campaign/Shard.h"
 #include "cat/CatAdapter.h"
+#include "diy/Enumerate.h"
 #include "litmus/Catalog.h"
 #include "model/Registry.h"
 #include "mole/Mine.h"
+#include "obs/Metrics.h"
 #include "sweep/ReportIO.h"
 #include "sweep/SweepEngine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -163,20 +166,76 @@ TEST(Shard, StanzaRoundTrip) {
 //===----------------------------------------------------------------------===//
 
 TEST(ReportIO, OutcomeKeyRoundTripsEveryCatalogueState) {
-  const CatalogEntry *Entry = catalogEntry("mp");
-  ASSERT_NE(Entry, nullptr);
-  SweepReport Report = SweepEngine({1}).run(
-      makeJobs({Entry->Test}, {modelByName("SC"), modelByName("Power")}));
-  ASSERT_EQ(Report.Tests.size(), 1u);
-  unsigned Checked = 0;
-  for (const Outcome &O : Report.Tests[0].Result.ConsistentOutcomes) {
-    auto Back = outcomeFromKey(O.key());
-    ASSERT_TRUE(static_cast<bool>(Back)) << Back.message();
-    EXPECT_EQ(Back->key(), O.key());
-    EXPECT_EQ(*Back == O, true);
-    ++Checked;
+  // Key-table invariants over the catalogue plus a size-5 Power diy
+  // slice, under both backends: every outcome table is strictly
+  // ascending, every key is canonical (outcomeFromKey inverts key()),
+  // every allowed set is a subset of the consistent set, and the report
+  // reader rebuilds the same tables.
+  std::vector<LitmusTest> Tests = catalogueTests();
+  EnumerateOptions Opts;
+  Opts.Target = Arch::Power;
+  Opts.MinEdges = Opts.MaxEdges = 5;
+  Opts.Limit = 150;
+  auto Source = makeDiyTestSource(Opts);
+  ASSERT_TRUE(static_cast<bool>(Source)) << Source.message();
+  for (LitmusTest Test; (*Source)(Test);)
+    Tests.push_back(Test);
+  ASSERT_GT(Tests.size(), catalogueTests().size() + 100);
+
+  for (JudgeBackend Backend : {JudgeBackend::Pruned, JudgeBackend::Naive}) {
+    SweepOptions Engine;
+    Engine.Jobs = 2;
+    Engine.Backend = Backend;
+    SweepReport Report = SweepEngine(Engine).run(
+        makeJobs(Tests, {modelByName("SC"), modelByName("Power")}));
+    ASSERT_TRUE(Report.allOk());
+    for (const SweepTestResult &T : Report.Tests) {
+      const std::string Where =
+          T.TestName + " (" + judgeBackendName(Backend) + ")";
+      const std::vector<std::string> Keys(T.Result.ConsistentOutcomes.begin(),
+                                          T.Result.ConsistentOutcomes.end());
+      ASSERT_FALSE(Keys.empty()) << Where;
+      for (size_t I = 1; I < Keys.size(); ++I)
+        EXPECT_LT(Keys[I - 1], Keys[I]) << Where;
+      for (const std::string &Key : Keys) {
+        auto Back = outcomeFromKey(Key);
+        ASSERT_TRUE(static_cast<bool>(Back)) << Where << ": " << Back.message();
+        EXPECT_EQ(Back->key(), Key) << Where;
+      }
+      for (const SimulationResult &R : T.Result.PerModel)
+        EXPECT_TRUE(std::includes(Keys.begin(), Keys.end(),
+                                  R.AllowedOutcomes.begin(),
+                                  R.AllowedOutcomes.end()))
+            << Where << " under " << R.ModelName;
+      auto Parsed = sweepTestResultFromJson(sweepTestResultToJson(T));
+      ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.message();
+      EXPECT_EQ(Parsed->Result.ConsistentOutcomes, T.Result.ConsistentOutcomes)
+          << Where;
+    }
   }
-  EXPECT_GT(Checked, 0u);
+}
+
+TEST(ReportIO, ReaderCanonicalizesConsistentStates) {
+  // A hand-edited consistent_states list with out-of-order fields, a
+  // zero-padded value and an unsorted order reads back as canonical keys;
+  // allowed_states resolve against the canonical table.
+  auto Doc = JsonValue::parse(
+      R"({"name":"t","candidates_total":2,"candidates_consistent":2,)"
+      R"("consistent_states":["y=1;x=01;","0:r1=1;x=0;y=0;"],)"
+      R"("models":[{"model":"SC","verdict":"Forbid","candidates_allowed":1,)"
+      R"("allowed_states":["x=1;y=1;"]}]})");
+  ASSERT_TRUE(static_cast<bool>(Doc)) << Doc.message();
+  auto Parsed = sweepTestResultFromJson(*Doc);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.message();
+  const std::vector<std::string> Canonical{"0:r1=1;x=0;y=0;", "x=1;y=1;"};
+  EXPECT_EQ(std::vector<std::string>(Parsed->Result.ConsistentOutcomes.begin(),
+                                     Parsed->Result.ConsistentOutcomes.end()),
+            Canonical);
+  ASSERT_EQ(Parsed->Result.PerModel.size(), 1u);
+  EXPECT_EQ(*Parsed->Result.PerModel[0].AllowedOutcomes.begin(), "x=1;y=1;");
+  EXPECT_NE(sweepTestResultToJson(*Parsed).dump(0).find(
+                R"("consistent_states":["0:r1=1;x=0;y=0;","x=1;y=1;"])"),
+            std::string::npos);
 }
 
 TEST(ReportIO, OutcomeKeyRejectsGarbage) {
@@ -496,6 +555,8 @@ TEST(Checkpoint, ResumeAfterKillEqualsUninterrupted) {
   ASSERT_TRUE(static_cast<bool>(State)) << State.message();
   EXPECT_EQ(State->Consumed, 7ull);
   ASSERT_EQ(State->Tests.size(), 7u);
+  // Header, 4 + 1 and 3 + 1 batch lines, the orphan: the torn line is 12.
+  EXPECT_EQ(State->TrimReason, "line 12: torn line");
 
   StreamHooks Hooks;
   Hooks.SkipTests = State->Consumed;
@@ -733,4 +794,200 @@ TEST(MineMerge, JsonLevelMergeMatchesStructMerge) {
   auto ViaStructs = mergeMineReports(Parts);
   ASSERT_TRUE(static_cast<bool>(ViaStructs));
   EXPECT_EQ(ViaJson->dump(), mineReportToJson(*ViaStructs).dump());
+}
+
+//===----------------------------------------------------------------------===//
+// Hostile counts: every JSON count reader accepts only integers in
+// [0, 2^53] and names the offending field otherwise
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The non-counts every reader must refuse: negative, fractional, and
+/// beyond any integer type.
+const double HostileCounts[] = {-1, 2.5, 1e300};
+
+/// True when \p Message names \p Field as a bad count.
+bool namesField(const std::string &Message, const std::string &Field) {
+  return Message.find("'" + Field + "' is ") != std::string::npos;
+}
+
+} // namespace
+
+TEST(HostileCounts, AccessorAcceptsOnlyIntegersInRange) {
+  EXPECT_EQ(*jsonCount(nullptr, "n"), 0ull);
+  const JsonValue Zero(0), Top(static_cast<double>(MaxJsonCount));
+  EXPECT_EQ(*jsonCount(&Zero, "n"), 0ull);
+  EXPECT_EQ(*jsonCount(&Top, "n"), MaxJsonCount);
+  const JsonValue Over(static_cast<double>(MaxJsonCount) * 2), Text("7");
+  EXPECT_TRUE(namesField(jsonCount(&Over, "n").message(), "n"));
+  EXPECT_TRUE(namesField(jsonCount(&Text, "n").message(), "n"));
+  const JsonValue Big(5000000000.0);
+  EXPECT_FALSE(static_cast<bool>(jsonCount(&Big, "n", 4294967295u)));
+  for (double Bad : HostileCounts) {
+    const JsonValue V(Bad);
+    auto N = jsonCount(&V, "n");
+    EXPECT_FALSE(static_cast<bool>(N)) << Bad;
+    EXPECT_TRUE(namesField(N.message(), "n")) << N.message();
+  }
+}
+
+TEST(HostileCounts, SweepReportReaderRejects) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(2);
+  SweepReport Report =
+      SweepEngine({1}).run(makeJobs(Tests, {modelByName("SC")}));
+  Report.CacheUsed = true;
+  const JsonValue Good = sweepReportToJson(Report);
+  ASSERT_TRUE(static_cast<bool>(sweepReportFromJson(Good)));
+  for (double Bad : HostileCounts) {
+    JsonValue Root = Good;
+    Root.set("jobs", Bad);
+    auto Parsed = sweepReportFromJson(Root);
+    ASSERT_FALSE(static_cast<bool>(Parsed)) << Bad;
+    EXPECT_TRUE(namesField(Parsed.message(), "jobs")) << Parsed.message();
+
+    JsonValue Cache = JsonValue::object();
+    Cache.set("hits", 0);
+    Cache.set("misses", Bad);
+    Root = Good;
+    Root.set("cache", Cache);
+    Parsed = sweepReportFromJson(Root);
+    ASSERT_FALSE(static_cast<bool>(Parsed)) << Bad;
+    EXPECT_TRUE(namesField(Parsed.message(), "misses")) << Parsed.message();
+
+    JsonValue Entry = sweepTestResultToJson(Report.Tests[0]);
+    Entry.set("candidates_consistent", Bad);
+    auto Test = sweepTestResultFromJson(Entry);
+    ASSERT_FALSE(static_cast<bool>(Test)) << Bad;
+    EXPECT_TRUE(namesField(Test.message(), "candidates_consistent"))
+        << Test.message();
+  }
+}
+
+TEST(HostileCounts, CheckpointTrimsAtBadProgressLine) {
+  const std::string Dir = scratchDir("checkpoint_counts");
+  const std::string Path = Dir + "/c.jsonl";
+  const std::string Id = campaignId("hostile");
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(4);
+  SweepReport Report =
+      SweepEngine({1}).run(makeJobs(Tests, {modelByName("SC")}));
+  for (const char *Field : {"consumed", "hits", "misses"})
+    for (double Bad : HostileCounts) {
+      {
+        auto Writer = CheckpointWriter::create(Path, Id);
+        ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
+        ASSERT_TRUE(Writer->appendBatch({Report.Tests[0], Report.Tests[1]},
+                                        2, 0, 2));
+      }
+      // A second batch whose progress line carries the hostile count.
+      {
+        std::ofstream Tail(Path, std::ios::app);
+        for (size_t I = 2; I < 4; ++I) {
+          JsonValue Line = JsonValue::object();
+          Line.set("entry", sweepTestResultToJson(Report.Tests[I]));
+          Tail << Line.dump(0) << "\n";
+        }
+        JsonValue Totals = JsonValue::object();
+        Totals.set("consumed", 4);
+        Totals.set("hits", 0);
+        Totals.set("misses", 4);
+        Totals.set(Field, Bad);
+        JsonValue Progress = JsonValue::object();
+        Progress.set("progress", Totals);
+        Tail << Progress.dump(0) << "\n";
+      }
+      auto State = loadCheckpoint(Path, Id);
+      ASSERT_TRUE(static_cast<bool>(State)) << State.message();
+      EXPECT_EQ(State->Consumed, 2ull) << Field << " " << Bad;
+      EXPECT_EQ(State->Tests.size(), 2u);
+      EXPECT_EQ(State->CacheMisses, 2ull);
+      EXPECT_TRUE(namesField(State->TrimReason, Field)) << State->TrimReason;
+      EXPECT_EQ(State->TrimReason.rfind("line 7: ", 0), 0u)
+          << State->TrimReason;
+    }
+}
+
+TEST(HostileCounts, MergeRejects) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(2);
+  const JsonValue Good = sweepReportToJson(
+      SweepEngine({1}).run(makeJobs(Tests, {modelByName("SC")})));
+  ASSERT_TRUE(static_cast<bool>(mergeSweepReports({Good, Good})));
+  for (double Bad : HostileCounts) {
+    JsonValue Doc = Good;
+    Doc.set("jobs", Bad);
+    auto Merged = mergeSweepReports({Good, Doc});
+    ASSERT_FALSE(static_cast<bool>(Merged)) << Bad;
+    EXPECT_TRUE(namesField(Merged.message(), "jobs")) << Merged.message();
+    EXPECT_NE(Merged.message().find("input 2"), std::string::npos);
+
+    JsonValue Cache = JsonValue::object();
+    Cache.set("hits", Bad);
+    Cache.set("misses", 0);
+    Doc = Good;
+    Doc.set("cache", Cache);
+    Merged = mergeSweepReports({Doc, Good});
+    ASSERT_FALSE(static_cast<bool>(Merged)) << Bad;
+    EXPECT_TRUE(namesField(Merged.message(), "hits")) << Merged.message();
+  }
+}
+
+TEST(HostileCounts, ShardStanzaRejects) {
+  for (const char *Field : {"index", "count"})
+    for (double Bad : HostileCounts) {
+      JsonValue Stanza = shardToJson(ShardSpec{1, 2});
+      Stanza.set(Field, Bad);
+      auto Spec = shardFromJson(Stanza);
+      ASSERT_FALSE(static_cast<bool>(Spec)) << Field << " " << Bad;
+      EXPECT_TRUE(namesField(Spec.message(), Field)) << Spec.message();
+    }
+}
+
+TEST(HostileCounts, MetricsMergeRejects) {
+  auto Metrics = [](const char *Counter, double N, double HistSum) {
+    JsonValue Doc = JsonValue::object();
+    Doc.set("schema", "cats-metrics/1");
+    JsonValue Counters = JsonValue::object();
+    Counters.set(Counter, N);
+    Doc.set("counters", Counters);
+    JsonValue Hist = JsonValue::object();
+    Hist.set("count", 1);
+    Hist.set("sum", HistSum);
+    Hist.set("buckets", JsonValue::array());
+    JsonValue Hists = JsonValue::object();
+    Hists.set("h", Hist);
+    Doc.set("histograms", Hists);
+    return Doc;
+  };
+  std::string Error;
+  JsonValue Into = Metrics("c", 1, 1);
+  ASSERT_TRUE(obs::mergeMetricsJson(Into, Metrics("c", 2, 3), Error))
+      << Error;
+  for (double Bad : HostileCounts) {
+    Into = Metrics("c", 1, 1);
+    EXPECT_FALSE(obs::mergeMetricsJson(Into, Metrics("c", Bad, 1), Error));
+    EXPECT_TRUE(namesField(Error, "counters.c")) << Error;
+    Into = Metrics("c", 1, 1);
+    EXPECT_FALSE(obs::mergeMetricsJson(Into, Metrics("c", 1, Bad), Error));
+    EXPECT_TRUE(namesField(Error, "histograms.h.sum")) << Error;
+  }
+}
+
+TEST(HostileCounts, MineReportReaderRejects) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(4);
+  const JsonValue Good = mineReportToJson(mineSweepReport(
+      SweepEngine({1}).run(makeJobs(Tests, {modelByName("SC")}))));
+  ASSERT_TRUE(static_cast<bool>(mineReportFromJson(Good)));
+  for (double Bad : HostileCounts) {
+    JsonValue Corpus = *Good.get("corpus");
+    Corpus.set("errors", Bad);
+    JsonValue Root = Good;
+    Root.set("corpus", Corpus);
+    auto Parsed = mineReportFromJson(Root);
+    ASSERT_FALSE(static_cast<bool>(Parsed)) << Bad;
+    EXPECT_TRUE(namesField(Parsed.message(), "errors")) << Parsed.message();
+  }
 }

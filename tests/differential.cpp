@@ -41,11 +41,7 @@ namespace {
 
 /// Renders an outcome set as sorted keys, for readable mismatch output.
 std::vector<std::string> keysOf(const OutcomeSet &Outcomes) {
-  std::vector<std::string> Keys;
-  Keys.reserve(Outcomes.size());
-  for (const Outcome &O : Outcomes)
-    Keys.push_back(O.key());
-  return Keys;
+  return {Outcomes.begin(), Outcomes.end()};
 }
 
 /// Full equality of two multi-model results (the Naive vs Pruned

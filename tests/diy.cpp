@@ -276,11 +276,12 @@ TEST(Diy, DataDependencyKeepsValues) {
   // The stored values must still be the assigned constants: the witness
   // candidate (both reads see 1) must exist and be forbidden by NO THIN
   // AIR on Power.
-  SimulationResult R = simulate(*Test, *modelByName("Power"));
-  EXPECT_FALSE(R.ConditionReachable) << "lb+datas is forbidden";
+  MultiSimulationResult R = simulateAll(*Test, {modelByName("Power")});
+  EXPECT_FALSE(R.PerModel.front().ConditionReachable)
+      << "lb+datas is forbidden";
   bool WitnessExists = false;
-  for (const Outcome &Out : R.ConsistentOutcomes)
-    if (Out.satisfies(Test->Final))
+  for (const std::string &Key : R.ConsistentOutcomes)
+    if (outcomeFromKey(Key)->satisfies(Test->Final))
       WitnessExists = true;
   EXPECT_TRUE(WitnessExists)
       << "the data-dependency synthesis must preserve written values";

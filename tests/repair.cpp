@@ -173,10 +173,10 @@ TEST(Mutation, DataMutantPreservesStoredValues) {
   auto Mutant = applyRepair(Lb, Datas);
   ASSERT_TRUE(static_cast<bool>(Mutant)) << Mutant.message();
   // The witness outcome must still exist among consistent candidates.
-  SimulationResult R = simulate(*Mutant, *modelByName("Power"));
+  MultiSimulationResult R = simulateAll(*Mutant, {modelByName("Power")});
   bool Witness = false;
-  for (const Outcome &Out : R.ConsistentOutcomes)
-    Witness |= Out.satisfies(Mutant->Final);
+  for (const std::string &Key : R.ConsistentOutcomes)
+    Witness |= outcomeFromKey(Key)->satisfies(Mutant->Final);
   EXPECT_TRUE(Witness);
 }
 

@@ -31,10 +31,7 @@ LitmusTest parseOrDie(const std::string &Text) {
 }
 
 std::vector<std::string> outcomeKeys(const OutcomeSet &Outcomes) {
-  std::vector<std::string> Keys;
-  for (const Outcome &O : Outcomes)
-    Keys.push_back(O.key());
-  return Keys;
+  return {Outcomes.begin(), Outcomes.end()};
 }
 
 } // namespace
@@ -115,7 +112,7 @@ TEST(Codegen, SingleThreadReplayMatchesSimulator) {
     ASSERT_TRUE(static_cast<bool>(Native)) << Native.message();
     SimulationResult Sim = simulate(Test, *modelByName("SC"));
     ASSERT_EQ(Sim.AllowedOutcomes.size(), 1u) << Test.Name;
-    EXPECT_EQ(Native->replay().key(), Sim.AllowedOutcomes.begin()->key())
+    EXPECT_EQ(Native->replay().key(), *Sim.AllowedOutcomes.begin())
         << Test.Name;
     EXPECT_TRUE(Native->replay().satisfies(Test.Final)) << Test.Name;
   }

@@ -38,10 +38,7 @@ std::vector<std::string> sortedDistinct(std::vector<std::string> Keys) {
 
 /// An engine result's outcome set as the keys it iterates, in order.
 std::vector<std::string> keysOf(const OutcomeSet &Outcomes) {
-  std::vector<std::string> Keys;
-  for (const Outcome &O : Outcomes)
-    Keys.push_back(O.key());
-  return Keys;
+  return {Outcomes.begin(), Outcomes.end()};
 }
 
 /// What the legacy per-model algorithm computes for one (test, model).
@@ -85,21 +82,19 @@ ReferenceResult naiveSimulate(const CompiledTest &Compiled, const Model &M) {
   return Result;
 }
 
-void expectSameResult(const ReferenceResult &A, const SimulationResult &B,
-                      const std::string &Context,
-                      bool CompareConsistentOutcomes = true) {
+/// Expects model \p I of \p Multi, and the shared consistent set, to
+/// match the reference \p A.
+void expectSameResult(const ReferenceResult &A,
+                      const MultiSimulationResult &Multi, size_t I,
+                      const std::string &Context) {
+  const SimulationResult &B = Multi.PerModel[I];
   EXPECT_EQ(A.TestName, B.TestName) << Context;
   EXPECT_EQ(A.ModelName, B.ModelName) << Context;
   EXPECT_EQ(A.CandidatesTotal, B.CandidatesTotal) << Context;
   EXPECT_EQ(A.CandidatesConsistent, B.CandidatesConsistent) << Context;
   EXPECT_EQ(A.CandidatesAllowed, B.CandidatesAllowed) << Context;
   EXPECT_EQ(A.AllowedKeys, keysOf(B.AllowedOutcomes)) << Context;
-  // Per-model entries of a multi-model sweep do not carry the shared
-  // ConsistentOutcomes set; callers with such entries compare the shared
-  // set on the MultiSimulationResult themselves.
-  if (CompareConsistentOutcomes) {
-    EXPECT_EQ(A.ConsistentKeys, keysOf(B.ConsistentOutcomes)) << Context;
-  }
+  EXPECT_EQ(A.ConsistentKeys, keysOf(Multi.ConsistentOutcomes)) << Context;
   EXPECT_EQ(A.ConditionReachable, B.ConditionReachable) << Context;
 }
 
@@ -123,14 +118,9 @@ TEST(MultiModel, MatchesNaivePerModelOnFullCatalogue) {
     ASSERT_TRUE(static_cast<bool>(Compiled)) << Entry.Test.Name;
     MultiSimulationResult Multi = simulateAll(*Compiled, Models);
     ASSERT_EQ(Multi.PerModel.size(), Models.size());
-    for (size_t I = 0; I < Models.size(); ++I) {
-      ReferenceResult Ref = naiveSimulate(*Compiled, *Models[I]);
-      EXPECT_EQ(Ref.ConsistentKeys, keysOf(Multi.ConsistentOutcomes))
-          << Entry.Test.Name;
-      expectSameResult(Ref, Multi.PerModel[I],
-                       Entry.Test.Name + " under " + Models[I]->name(),
-                       /*CompareConsistentOutcomes=*/false);
-    }
+    for (size_t I = 0; I < Models.size(); ++I)
+      expectSameResult(naiveSimulate(*Compiled, *Models[I]), Multi, I,
+                       Entry.Test.Name + " under " + Models[I]->name());
   }
 }
 
@@ -140,7 +130,7 @@ TEST(MultiModel, SingleModelSimulateStillMatchesReference) {
     auto Compiled = CompiledTest::compile(Entry.Test);
     ASSERT_TRUE(static_cast<bool>(Compiled)) << Entry.Test.Name;
     expectSameResult(naiveSimulate(*Compiled, Power),
-                     simulate(*Compiled, Power), Entry.Test.Name);
+                     simulateAll(*Compiled, {&Power}), 0, Entry.Test.Name);
   }
 }
 
@@ -151,9 +141,6 @@ TEST(MultiModel, SharedFieldsComputedOnceAndMirrored) {
   for (const SimulationResult &R : Multi.PerModel) {
     EXPECT_EQ(R.CandidatesTotal, Multi.CandidatesTotal);
     EXPECT_EQ(R.CandidatesConsistent, Multi.CandidatesConsistent);
-    // The shared outcome set is NOT mirrored in a multi-model sweep: it
-    // lives once on the multi result.
-    EXPECT_TRUE(R.ConsistentOutcomes.empty());
   }
   EXPECT_FALSE(Multi.ConsistentOutcomes.empty());
 }
@@ -183,8 +170,7 @@ std::shared_ptr<const OutcomeTable> tableOf(std::vector<Value> Values) {
   for (Value V : Values) {
     Outcome O;
     O.Memory["x"] = V;
-    O.enableKeyCache();
-    Table->push_back(std::move(O));
+    Table->push_back(O.key());
   }
   std::sort(Table->begin(), Table->end());
   return Table;
@@ -221,8 +207,8 @@ TEST(OutcomeSet, IteratesMembersInAscendingKeyOrder) {
   auto Table = tableOf(Values);
   OutcomeSet Set = subsetOf(Table, {129, 0, 64, 63});
   EXPECT_EQ(Set.size(), 4u);
-  std::vector<std::string> Expected{(*Table)[0].key(), (*Table)[63].key(),
-                                    (*Table)[64].key(), (*Table)[129].key()};
+  std::vector<std::string> Expected{(*Table)[0], (*Table)[63], (*Table)[64],
+                                    (*Table)[129]};
   EXPECT_EQ(keysOf(Set), Expected);
   EXPECT_EQ(OutcomeSet::all(Table).size(), 130u);
 

@@ -262,9 +262,9 @@ TEST(Witness, CatalogueEvidenceRevalidates) {
         EXPECT_TRUE(W->Cycle.empty());
         // Genuinely unreachable: no consistent outcome satisfies the
         // final condition, under any model.
-        for (const Outcome &O : Result.ConsistentOutcomes)
-          EXPECT_FALSE(O.satisfies(Entry.Test.Final))
-              << Entry.Test.Name << ": outcome " << O.key()
+        for (const std::string &Key : Result.ConsistentOutcomes)
+          EXPECT_FALSE(outcomeFromKey(Key)->satisfies(Entry.Test.Final))
+              << Entry.Test.Name << ": outcome " << Key
               << " satisfies the condition, unreachable witness is wrong";
         break;
       }

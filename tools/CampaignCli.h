@@ -161,6 +161,12 @@ runCampaignSweep(const char *Tool, const SweepEngine &Engine,
       if (!State)
         return Ret::error(State.message());
       Prefix = State.take();
+      if (!Prefix.TrimReason.empty())
+        std::fprintf(stderr,
+                     "%s: checkpoint %s: %s; resuming from the last valid "
+                     "progress line\n",
+                     Tool, Flags.CheckpointPath.c_str(),
+                     Prefix.TrimReason.c_str());
       Hooks.SkipTests = Prefix.Consumed;
       auto Reopened = CheckpointWriter::append(Flags.CheckpointPath);
       if (!Reopened)

@@ -31,7 +31,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -278,7 +280,8 @@ int main(int argc, char **argv) {
           " model-forbidden iteration(s), " +
           std::to_string(T.OutsideEnumeration) +
           " outside the candidate enumeration\noffending outcomes:\n";
-      std::vector<obs::Witness> Witnesses;
+      // The offending outcomes the enumeration can reproduce.
+      std::set<std::string> Pending;
       for (const RunBucket &B : T.Histogram) {
         if (B.AllowedByModel && B.Consistent)
           continue;
@@ -286,25 +289,34 @@ int main(int argc, char **argv) {
                    (B.Consistent ? " (forbidden by model)"
                                  : " (outside the enumeration)") +
                    "\n";
-        if (!B.Consistent || !Test)
-          continue;
-        // Re-derive the evidence: the first consistent execution with
-        // this outcome, judged by the reference model.
-        auto Compiled = CompiledTest::compile(*Test);
-        if (!Compiled)
-          continue;
-        forEachCandidate(*Compiled, [&](const Candidate &Cand) {
-          if (!Cand.Consistent || Cand.Out.key() != B.Key)
-            return true;
-          Cand.Exe.enableDerivedCache();
-          const Verdict V = Reference->check(Cand.Exe);
-          if (!V.Allowed && !V.Violated.empty())
-            Witnesses.push_back(obs::makeKillWitness(
-                T.TestName, *Reference, V.Violated.front(), Cand.Exe,
-                Cand.Out));
-          return false;
-        });
+        if (B.Consistent)
+          Pending.insert(B.Key);
       }
+      // Re-derive the evidence in one candidate walk, building each
+      // candidate's key once: the first consistent execution with each
+      // pending outcome, judged by the reference model. Found is keyed
+      // like the key-sorted histogram, so witnesses keep bucket order.
+      std::map<std::string, obs::Witness> Found;
+      if (Test && !Pending.empty())
+        if (auto Compiled = CompiledTest::compile(*Test))
+          forEachCandidate(*Compiled, [&](const Candidate &Cand) {
+            if (!Cand.Consistent)
+              return true;
+            auto It = Pending.find(Cand.Out.key());
+            if (It == Pending.end())
+              return true;
+            Cand.Exe.enableDerivedCache();
+            const Verdict V = Reference->check(Cand.Exe);
+            if (!V.Allowed && !V.Violated.empty())
+              Found.emplace(*It, obs::makeKillWitness(
+                                     T.TestName, *Reference,
+                                     V.Violated.front(), Cand.Exe, *It));
+            Pending.erase(It);
+            return !Pending.empty();
+          });
+      std::vector<obs::Witness> Witnesses;
+      for (auto &[Key, W] : Found)
+        Witnesses.push_back(std::move(W));
       auto Saved = Recorder.record("unsound-" + T.TestName,
                                    Test ? Test->toString() : std::string(),
                                    Summary, Witnesses);
