@@ -10,6 +10,7 @@
 #include "sweep/ReportIO.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 using namespace cats;
@@ -35,6 +36,8 @@ Expected<CheckpointState> cats::loadCheckpoint(const std::string &Path,
   std::string Line;
   if (!std::getline(In, Line))
     return Ret::error(strFormat("checkpoint %s is empty", Path.c_str()));
+  // The byte offset just past the line getline last read.
+  unsigned long long Offset = Line.size() + !In.eof();
   auto Header = JsonValue::parse(Line);
   if (!Header || !Header->isObject())
     return Ret::error(strFormat("checkpoint %s: garbled header", Path.c_str()));
@@ -55,12 +58,16 @@ Expected<CheckpointState> cats::loadCheckpoint(const std::string &Path,
   // final line — is trimmed: resume re-judges from the last completed
   // batch.
   CheckpointState State;
+  State.TrustedBytes = Offset;
   std::vector<SweepTestResult> Entries;
   std::string Why; // set by the first line that ends the trusted prefix
   for (size_t LineNo = 2; Why.empty() && std::getline(In, Line); ++LineNo) {
+    Offset += Line.size() + !In.eof();
     if (Line.empty())
       continue;
-    auto Doc = JsonValue::parse(Line);
+    // Every line is written with its newline; one without was cut short.
+    auto Doc = In.eof() ? Expected<JsonValue>::error("no newline")
+                        : JsonValue::parse(Line);
     const JsonValue *Entry = Doc ? Doc->get("entry") : nullptr;
     const JsonValue *Progress = Doc ? Doc->get("progress") : nullptr;
     unsigned long long Consumed = 0, Hits = 0, Misses = 0;
@@ -81,6 +88,7 @@ Expected<CheckpointState> cats::loadCheckpoint(const std::string &Path,
         State.Consumed = Consumed;
         State.CacheHits = Hits;
         State.CacheMisses = Misses;
+        State.TrustedBytes = Offset;
       }
     }
     if (!Why.empty())
@@ -111,9 +119,12 @@ cats::CheckpointWriter::create(const std::string &Path,
 }
 
 Expected<CheckpointWriter>
-cats::CheckpointWriter::append(const std::string &Path) {
+cats::CheckpointWriter::append(const std::string &Path,
+                               unsigned long long TrustedBytes) {
   using Ret = Expected<CheckpointWriter>;
-  std::FILE *File = std::fopen(Path.c_str(), "a");
+  std::error_code EC;
+  std::filesystem::resize_file(Path, TrustedBytes, EC);
+  std::FILE *File = EC ? nullptr : std::fopen(Path.c_str(), "a");
   if (!File)
     return Ret::error(
         strFormat("cannot append to checkpoint %s", Path.c_str()));

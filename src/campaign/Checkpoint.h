@@ -59,11 +59,15 @@ struct CheckpointState {
   /// diagnostic of the first torn or invalid line (e.g. a progress count
   /// that is not an integer). Empty when every line was read.
   std::string TrimReason;
+  /// The byte length of the trusted prefix: the header and every line up
+  /// to the last progress line. Resuming truncates the file to it, so new
+  /// batches never land behind a trimmed tail.
+  unsigned long long TrustedBytes = 0;
 };
 
 /// Loads and validates \p Path. Fails on a missing/garbled header or a
 /// campaign-id mismatch; tolerates (and trims, noting TrimReason) a torn
-/// or invalid tail.
+/// or invalid tail. A last line without its newline counts as torn.
 Expected<CheckpointState> loadCheckpoint(const std::string &Path,
                                          const std::string &CampaignId);
 
@@ -74,9 +78,10 @@ public:
   static Expected<CheckpointWriter> create(const std::string &Path,
                                            const std::string &CampaignId);
 
-  /// Reopens \p Path for appending after a resume. The caller must have
-  /// loadCheckpoint-validated it first.
-  static Expected<CheckpointWriter> append(const std::string &Path);
+  /// Reopens \p Path for appending after a resume: truncates it to the
+  /// \p TrustedBytes its loadCheckpoint reported, then appends from there.
+  static Expected<CheckpointWriter> append(const std::string &Path,
+                                           unsigned long long TrustedBytes);
 
   /// Appends \p Batch (the report entries the last batch added) and a
   /// progress line with the cumulative totals, then flushes.

@@ -13,31 +13,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 
 using namespace cats;
-
-JsonValue JsonValue::array() {
-  JsonValue V;
-  V.ValueKind = Kind::Array;
-  return V;
-}
-
-JsonValue JsonValue::object() {
-  JsonValue V;
-  V.ValueKind = Kind::Object;
-  return V;
-}
-
-bool JsonValue::asBool() const {
-  assert(isBool() && "not a bool");
-  return BoolValue;
-}
-
-double JsonValue::asNumber() const {
-  assert(isNumber() && "not a number");
-  return NumberValue;
-}
 
 Expected<unsigned long long> cats::jsonCount(const JsonValue *V,
                                              const std::string &Field,
@@ -55,64 +32,33 @@ Expected<unsigned long long> cats::jsonCount(const JsonValue *V,
                               Field.c_str(), V->dump(0).c_str(), Max));
 }
 
-const std::string &JsonValue::asString() const {
-  assert(isString() && "not a string");
-  return StringValue;
-}
-
-const std::vector<JsonValue> &JsonValue::elements() const {
-  assert(isArray() && "not an array");
-  return Elements;
-}
-
 void JsonValue::push(JsonValue V) {
-  assert(isArray() && "not an array");
-  Elements.push_back(std::move(V));
+  std::get<Array>(Data).push_back(std::move(V));
 }
 
-const std::vector<std::pair<std::string, JsonValue>> &
-JsonValue::members() const {
-  assert(isObject() && "not an object");
-  return Members;
-}
-
-void JsonValue::set(const std::string &Key, JsonValue V) {
-  assert(isObject() && "not an object");
+void JsonValue::set(std::string Key, JsonValue V) {
+  Object &Members = std::get<Object>(Data);
   for (auto &[K, Existing] : Members)
     if (K == Key) {
       Existing = std::move(V);
       return;
     }
-  Members.emplace_back(Key, std::move(V));
+  Members.emplace_back(std::move(Key), std::move(V));
+}
+
+void JsonValue::reserve(size_t N) {
+  if (Array *A = std::get_if<Array>(&Data))
+    A->reserve(N);
+  else
+    std::get<Object>(Data).reserve(N);
 }
 
 const JsonValue *JsonValue::get(const std::string &Key) const {
-  if (!isObject())
-    return nullptr;
-  for (const auto &[K, V] : Members)
-    if (K == Key)
-      return &V;
+  if (const Object *Members = std::get_if<Object>(&Data))
+    for (const auto &[K, V] : *Members)
+      if (K == Key)
+        return &V;
   return nullptr;
-}
-
-bool JsonValue::operator==(const JsonValue &Other) const {
-  if (ValueKind != Other.ValueKind)
-    return false;
-  switch (ValueKind) {
-  case Kind::Null:
-    return true;
-  case Kind::Bool:
-    return BoolValue == Other.BoolValue;
-  case Kind::Number:
-    return NumberValue == Other.NumberValue;
-  case Kind::String:
-    return StringValue == Other.StringValue;
-  case Kind::Array:
-    return Elements == Other.Elements;
-  case Kind::Object:
-    return Members == Other.Members;
-  }
-  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -121,117 +67,155 @@ bool JsonValue::operator==(const JsonValue &Other) const {
 
 namespace {
 
-void appendEscaped(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
+/// Counts the bytes of a rendering, so dump() can size its string once.
+struct CountSink {
+  size_t Size = 0;
+  void put(char) { ++Size; }
+  void put(const char *, size_t N) { Size += N; }
+  void pad(size_t N) { Size += N; }
+};
+
+/// Writes a rendering into a buffer CountSink has sized.
+struct WriteSink {
+  char *Cursor;
+  void put(char C) { *Cursor++ = C; }
+  void put(const char *S, size_t N) {
+    std::memcpy(Cursor, S, N);
+    Cursor += N;
+  }
+  void pad(size_t N) {
+    std::memset(Cursor, ' ', N);
+    Cursor += N;
+  }
+};
+
+/// Writes \p S quoted, passing each run of plain characters in one call.
+template <typename Sink> void putEscaped(Sink &Out, const std::string &S) {
+  Out.put('"');
+  const char *Run = S.data();
+  const char *const End = Run + S.size();
+  for (const char *P = Run; P != End; ++P) {
+    const unsigned char C = static_cast<unsigned char>(*P);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.put(Run, static_cast<size_t>(P - Run));
+    Run = P + 1;
     switch (C) {
     case '"':
-      Out += "\\\"";
+      Out.put("\\\"", 2);
       break;
     case '\\':
-      Out += "\\\\";
+      Out.put("\\\\", 2);
       break;
     case '\n':
-      Out += "\\n";
+      Out.put("\\n", 2);
       break;
     case '\t':
-      Out += "\\t";
+      Out.put("\\t", 2);
       break;
     case '\r':
-      Out += "\\r";
+      Out.put("\\r", 2);
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    default: {
+      char Buf[8];
+      Out.put(Buf, std::snprintf(Buf, sizeof(Buf), "\\u%04x", C));
+    }
     }
   }
-  Out += '"';
+  Out.put(Run, static_cast<size_t>(End - Run));
+  Out.put('"');
 }
 
-void appendNumber(std::string &Out, double N) {
-  // Integral values (all the sweep counts) print without a decimal point;
-  // everything else gets enough digits to round-trip.
-  if (std::isfinite(N) && N == std::floor(N) && std::fabs(N) < 1e15) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.0f", N);
-    Out += Buf;
+template <typename Sink> void putNumber(Sink &Out, double N) {
+  // JSON has no spelling for infinities or NaN.
+  if (!std::isfinite(N)) {
+    Out.put("null", 4);
     return;
   }
+  // Integral values (all the sweep counts) print without a decimal point;
+  // everything else gets enough digits to round-trip.
   char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", N);
-  Out += Buf;
+  const bool Integral = N == std::floor(N) && std::fabs(N) < 1e15;
+  Out.put(Buf, std::snprintf(Buf, sizeof(Buf), Integral ? "%.0f" : "%.17g",
+                             N));
+}
+
+/// The one layout walk behind dump(): sizing and writing both run it.
+template <typename Sink>
+void render(Sink &Out, const JsonValue &V, unsigned Indent, unsigned Depth) {
+  auto Newline = [&](unsigned D) {
+    if (Indent == 0)
+      return;
+    Out.put('\n');
+    Out.pad(static_cast<size_t>(Indent) * D);
+  };
+  switch (V.kind()) {
+  case JsonValue::Kind::Null:
+    Out.put("null", 4);
+    break;
+  case JsonValue::Kind::Bool:
+    if (V.asBool())
+      Out.put("true", 4);
+    else
+      Out.put("false", 5);
+    break;
+  case JsonValue::Kind::Number:
+    putNumber(Out, V.asNumber());
+    break;
+  case JsonValue::Kind::String:
+    putEscaped(Out, V.asString());
+    break;
+  case JsonValue::Kind::Array: {
+    const JsonValue::Array &Elements = V.elements();
+    if (Elements.empty()) {
+      Out.put("[]", 2);
+      break;
+    }
+    Out.put('[');
+    for (size_t I = 0; I < Elements.size(); ++I) {
+      if (I)
+        Out.put(',');
+      Newline(Depth + 1);
+      render(Out, Elements[I], Indent, Depth + 1);
+    }
+    Newline(Depth);
+    Out.put(']');
+    break;
+  }
+  case JsonValue::Kind::Object: {
+    const JsonValue::Object &Members = V.members();
+    if (Members.empty()) {
+      Out.put("{}", 2);
+      break;
+    }
+    Out.put('{');
+    for (size_t I = 0; I < Members.size(); ++I) {
+      if (I)
+        Out.put(',');
+      Newline(Depth + 1);
+      putEscaped(Out, Members[I].first);
+      Out.put(": ", Indent == 0 ? 1 : 2);
+      render(Out, Members[I].second, Indent, Depth + 1);
+    }
+    Newline(Depth);
+    Out.put('}');
+    break;
+  }
+  }
+  if (Depth == 0 && Indent != 0)
+    Out.put('\n');
 }
 
 } // namespace
 
 std::string JsonValue::dump(unsigned Indent) const {
-  std::string Out;
-  // Recursive lambda over (value, current depth).
-  std::function<void(const JsonValue &, unsigned)> Emit =
-      [&](const JsonValue &V, unsigned Depth) {
-        auto Newline = [&](unsigned D) {
-          if (Indent == 0)
-            return;
-          Out += '\n';
-          Out.append(static_cast<size_t>(Indent) * D, ' ');
-        };
-        switch (V.kind()) {
-        case Kind::Null:
-          Out += "null";
-          break;
-        case Kind::Bool:
-          Out += V.BoolValue ? "true" : "false";
-          break;
-        case Kind::Number:
-          appendNumber(Out, V.NumberValue);
-          break;
-        case Kind::String:
-          appendEscaped(Out, V.StringValue);
-          break;
-        case Kind::Array: {
-          if (V.Elements.empty()) {
-            Out += "[]";
-            break;
-          }
-          Out += '[';
-          for (size_t I = 0; I < V.Elements.size(); ++I) {
-            if (I)
-              Out += ',';
-            Newline(Depth + 1);
-            Emit(V.Elements[I], Depth + 1);
-          }
-          Newline(Depth);
-          Out += ']';
-          break;
-        }
-        case Kind::Object: {
-          if (V.Members.empty()) {
-            Out += "{}";
-            break;
-          }
-          Out += '{';
-          for (size_t I = 0; I < V.Members.size(); ++I) {
-            if (I)
-              Out += ',';
-            Newline(Depth + 1);
-            appendEscaped(Out, V.Members[I].first);
-            Out += Indent == 0 ? ":" : ": ";
-            Emit(V.Members[I].second, Depth + 1);
-          }
-          Newline(Depth);
-          Out += '}';
-          break;
-        }
-        }
-      };
-  Emit(*this, 0);
-  if (Indent != 0)
-    Out += '\n';
+  CountSink Counter;
+  render(Counter, *this, Indent, 0);
+  std::string Out(Counter.Size, '\0');
+  WriteSink Writer{Out.data()};
+  render(Writer, *this, Indent, 0);
+  assert(Writer.Cursor == Out.data() + Out.size() &&
+         "sizing and writing walks disagree");
   return Out;
 }
 
@@ -246,7 +230,7 @@ public:
   explicit Parser(const std::string &Text) : Text(Text) {}
 
   Expected<JsonValue> run() {
-    auto V = parseValue();
+    auto V = parseValue(0);
     if (!V)
       return V;
     skipWs();
@@ -285,15 +269,19 @@ private:
     return false;
   }
 
-  Expected<JsonValue> parseValue() {
+  /// Parses the value at Pos, which sits inside \p Depth arrays/objects.
+  Expected<JsonValue> parseValue(unsigned Depth) {
     skipWs();
     if (Pos >= Text.size())
       return fail("unexpected end of input");
     char C = Text[Pos];
+    if ((C == '{' || C == '[') && Depth == MaxJsonDepth)
+      return fail("nesting deeper than " + std::to_string(MaxJsonDepth) +
+                  " levels");
     if (C == '{')
-      return parseObject();
+      return parseObject(Depth + 1);
     if (C == '[')
-      return parseArray();
+      return parseArray(Depth + 1);
     if (C == '"') {
       auto S = parseString();
       if (!S)
@@ -316,13 +304,16 @@ private:
     ++Pos;
     std::string Out;
     while (Pos < Text.size()) {
-      char C = Text[Pos++];
-      if (C == '"')
+      // Copy the run up to the next quote or escape in one append.
+      size_t Stop = Pos;
+      while (Stop < Text.size() && Text[Stop] != '"' && Text[Stop] != '\\')
+        ++Stop;
+      if (Stop == Text.size())
+        break;
+      Out.append(Text, Pos, Stop - Pos);
+      Pos = Stop + 1;
+      if (Text[Stop] == '"')
         return Out;
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
       if (Pos >= Text.size())
         break;
       char E = Text[Pos++];
@@ -384,30 +375,33 @@ private:
   }
 
   Expected<JsonValue> parseNumber() {
-    size_t Start = Pos;
-    if (consume('-')) {
-    }
+    const size_t Start = Pos;
+    consume('-');
     while (Pos < Text.size() &&
            ((Text[Pos] >= '0' && Text[Pos] <= '9') || Text[Pos] == '.' ||
             Text[Pos] == 'e' || Text[Pos] == 'E' || Text[Pos] == '+' ||
             Text[Pos] == '-'))
       ++Pos;
-    const std::string Tok = Text.substr(Start, Pos - Start);
+    // strtod reads the token in place; it must stop exactly at its end.
     char *End = nullptr;
-    double N = std::strtod(Tok.c_str(), &End);
-    if (End != Tok.c_str() + Tok.size())
-      return fail("malformed number '" + Tok + "'");
-    return JsonValue(N);
+    const double N = std::strtod(Text.c_str() + Start, &End);
+    if (End == Text.c_str() + Pos && std::isfinite(N))
+      return JsonValue(N);
+    const std::string Tok = "'" + Text.substr(Start, Pos - Start) + "'";
+    if (End != Text.c_str() + Pos)
+      return fail("malformed number " + Tok);
+    Pos = Start;
+    return fail("number " + Tok + " overflows a double");
   }
 
-  Expected<JsonValue> parseArray() {
+  Expected<JsonValue> parseArray(unsigned Depth) {
     ++Pos; // '['
     JsonValue Out = JsonValue::array();
     skipWs();
     if (consume(']'))
       return Out;
     while (true) {
-      auto V = parseValue();
+      auto V = parseValue(Depth);
       if (!V)
         return V;
       Out.push(V.take());
@@ -419,7 +413,7 @@ private:
     }
   }
 
-  Expected<JsonValue> parseObject() {
+  Expected<JsonValue> parseObject(unsigned Depth) {
     ++Pos; // '{'
     JsonValue Out = JsonValue::object();
     skipWs();
@@ -435,7 +429,7 @@ private:
       skipWs();
       if (!consume(':'))
         return fail("expected ':' after object key");
-      auto V = parseValue();
+      auto V = parseValue(Depth);
       if (!V)
         return V;
       Out.set(K.take(), V.take());

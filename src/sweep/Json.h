@@ -7,7 +7,8 @@
 /// \file
 /// A small self-contained JSON library for the sweep reports: a value type
 /// over null/bool/number/string/array/object, a recursive-descent parser,
-/// and a deterministic pretty-printer. Objects preserve insertion order so
+/// and a deterministic pretty-printer that writes into a string sized
+/// exactly beforehand. Objects preserve insertion order so
 /// emitted reports read in schema order and round-trip byte-identically.
 ///
 /// No external dependency; numbers are stored as double (integral values
@@ -25,75 +26,83 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace cats {
 
-/// One JSON value.
+/// One JSON value: a variant over the six JSON kinds. A node is 40 bytes
+/// (a std::string plus the index), so a report's tree of outcome keys
+/// costs one node per key and the key's own heap chunk, nothing more.
 class JsonValue {
 public:
   enum class Kind : uint8_t { Null, Bool, Number, String, Array, Object };
+  using Array = std::vector<JsonValue>;
+  using Object = std::vector<std::pair<std::string, JsonValue>>;
 
-  JsonValue() : ValueKind(Kind::Null) {}
-  JsonValue(bool B) : ValueKind(Kind::Bool), BoolValue(B) {}
-  JsonValue(double N) : ValueKind(Kind::Number), NumberValue(N) {}
-  JsonValue(int N) : ValueKind(Kind::Number), NumberValue(N) {}
-  JsonValue(unsigned N) : ValueKind(Kind::Number), NumberValue(N) {}
-  JsonValue(unsigned long long N)
-      : ValueKind(Kind::Number), NumberValue(static_cast<double>(N)) {}
+  JsonValue() = default;
+  JsonValue(bool B) : Data(std::in_place_type<bool>, B) {}
+  JsonValue(double N) : Data(std::in_place_type<double>, N) {}
+  JsonValue(int N) : JsonValue(static_cast<double>(N)) {}
+  JsonValue(unsigned N) : JsonValue(static_cast<double>(N)) {}
+  JsonValue(unsigned long long N) : JsonValue(static_cast<double>(N)) {}
   JsonValue(std::string S)
-      : ValueKind(Kind::String), StringValue(std::move(S)) {}
-  JsonValue(const char *S) : ValueKind(Kind::String), StringValue(S) {}
+      : Data(std::in_place_type<std::string>, std::move(S)) {}
+  JsonValue(const char *S) : Data(std::in_place_type<std::string>, S) {}
 
   /// Creates an empty array / object.
-  static JsonValue array();
-  static JsonValue object();
+  static JsonValue array() { JsonValue V; V.Data = Array(); return V; }
+  static JsonValue object() { JsonValue V; V.Data = Object(); return V; }
 
-  Kind kind() const { return ValueKind; }
-  bool isNull() const { return ValueKind == Kind::Null; }
-  bool isBool() const { return ValueKind == Kind::Bool; }
-  bool isNumber() const { return ValueKind == Kind::Number; }
-  bool isString() const { return ValueKind == Kind::String; }
-  bool isArray() const { return ValueKind == Kind::Array; }
-  bool isObject() const { return ValueKind == Kind::Object; }
+  /// The variant's alternatives are declared in Kind order.
+  Kind kind() const { return static_cast<Kind>(Data.index()); }
+  bool isNull() const { return kind() == Kind::Null; }
+  bool isBool() const { return kind() == Kind::Bool; }
+  bool isNumber() const { return kind() == Kind::Number; }
+  bool isString() const { return kind() == Kind::String; }
+  bool isArray() const { return kind() == Kind::Array; }
+  bool isObject() const { return kind() == Kind::Object; }
 
-  /// Scalar accessors; assert on kind mismatch.
-  bool asBool() const;
-  double asNumber() const;
-  const std::string &asString() const;
+  /// Scalar accessors; throw std::bad_variant_access on kind mismatch.
+  bool asBool() const { return std::get<bool>(Data); }
+  double asNumber() const { return std::get<double>(Data); }
+  const std::string &asString() const { return std::get<std::string>(Data); }
 
   /// Array access.
-  const std::vector<JsonValue> &elements() const;
+  const Array &elements() const { return std::get<Array>(Data); }
   void push(JsonValue V);
 
   /// Object access. Members keep insertion order; set() replaces in place
   /// when the key exists.
-  const std::vector<std::pair<std::string, JsonValue>> &members() const;
-  void set(const std::string &Key, JsonValue V);
+  const Object &members() const { return std::get<Object>(Data); }
+  void set(std::string Key, JsonValue V);
+
+  /// Reserves room for \p N elements of an array or members of an object.
+  void reserve(size_t N);
 
   /// The member value for \p Key, or nullptr (also on non-objects).
   const JsonValue *get(const std::string &Key) const;
 
   /// Renders the value. \p Indent > 0 pretty-prints with that step;
   /// 0 emits the compact single-line form. Output is deterministic and
-  /// reparses to an equal value.
+  /// reparses to an equal value; a non-finite number renders as null.
   std::string dump(unsigned Indent = 2) const;
 
-  bool operator==(const JsonValue &Other) const;
+  bool operator==(const JsonValue &Other) const { return Data == Other.Data; }
   bool operator!=(const JsonValue &Other) const { return !(*this == Other); }
 
   /// Parses \p Text as one JSON document (trailing whitespace allowed).
-  /// Errors carry a byte offset and reason.
+  /// Errors carry a byte offset and reason. Documents nested deeper than
+  /// MaxJsonDepth and numbers beyond the range of a double are errors.
   static Expected<JsonValue> parse(const std::string &Text);
 
 private:
-  Kind ValueKind;
-  bool BoolValue = false;
-  double NumberValue = 0;
-  std::string StringValue;
-  std::vector<JsonValue> Elements;
-  std::vector<std::pair<std::string, JsonValue>> Members;
+  std::variant<std::monostate, bool, double, std::string, Array, Object> Data;
 };
+
+/// The deepest nesting of arrays and objects parse() accepts. Reports nest
+/// 6 deep; the bound keeps a hostile document from exhausting the stack.
+constexpr unsigned MaxJsonDepth = 256;
 
 /// The largest count a JSON number (an IEEE double) holds exactly: 2^53.
 constexpr unsigned long long MaxJsonCount = 1ull << 53;

@@ -31,17 +31,20 @@ JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
   Entry.set("candidates_consistent", T.Result.CandidatesConsistent);
 
   JsonValue States = JsonValue::array();
+  States.reserve(T.Result.ConsistentOutcomes.size());
   for (const std::string &Key : T.Result.ConsistentOutcomes)
     States.push(Key);
   Entry.set("consistent_states", std::move(States));
 
   JsonValue Models = JsonValue::array();
+  Models.reserve(T.Result.PerModel.size());
   for (const SimulationResult &R : T.Result.PerModel) {
     JsonValue M = JsonValue::object();
     M.set("model", R.ModelName);
     M.set("verdict", R.verdict());
     M.set("candidates_allowed", R.CandidatesAllowed);
     JsonValue Allowed = JsonValue::array();
+    Allowed.reserve(R.AllowedOutcomes.size());
     for (const std::string &Key : R.AllowedOutcomes)
       Allowed.push(Key);
     M.set("allowed_states", std::move(Allowed));
@@ -64,6 +67,7 @@ JsonValue cats::sweepReportToJson(const SweepReport &Report) {
   }
 
   JsonValue Tests = JsonValue::array();
+  Tests.reserve(Report.Tests.size());
   for (const SweepTestResult &T : Report.Tests)
     Tests.push(sweepTestResultToJson(T));
   Root.set("tests", std::move(Tests));

@@ -568,6 +568,72 @@ TEST(Checkpoint, ResumeAfterKillEqualsUninterrupted) {
   EXPECT_EQ(scrubbedDump(Resumed), Reference);
 }
 
+TEST(Checkpoint, SecondResumeAfterTrimReadsClean) {
+  const std::string Dir = scratchDir("checkpoint_twice");
+  const std::string Path = Dir + "/campaign.jsonl";
+  const std::string Id = campaignId("tool=test;models=SC,TSO;twice");
+
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(12);
+  std::vector<const Model *> Models = {modelByName("SC"),
+                                       modelByName("TSO")};
+  SweepEngine Engine({2});
+  const SweepReport Reference =
+      Engine.runStreamed(vectorSource(Tests), Models, 4);
+
+  // Runs \p Source from test \p Skip on, appending each batch to Writer
+  // with cumulative totals, as a resumed campaign does.
+  auto Run = [&](CheckpointWriter &Writer, TestSource Source,
+                 unsigned long long Skip) {
+    size_t LastWritten = 0;
+    StreamHooks Hooks;
+    Hooks.SkipTests = Skip;
+    Hooks.OnBatch = [&](const SweepReport &SoFar,
+                        unsigned long long Consumed) {
+      std::vector<SweepTestResult> Slice(SoFar.Tests.begin() + LastWritten,
+                                         SoFar.Tests.end());
+      LastWritten = SoFar.Tests.size();
+      ASSERT_TRUE(Writer.appendBatch(Slice, Skip + Consumed, 0, 0));
+    };
+    Engine.runStreamed(std::move(Source), Models, 4, Hooks);
+  };
+
+  // The first run covers 7 tests, then dies mid-line.
+  {
+    auto Writer = CheckpointWriter::create(Path, Id);
+    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
+    Run(*Writer, vectorSource({Tests.begin(), Tests.begin() + 7}), 0);
+  }
+  {
+    std::ofstream Tail(Path, std::ios::app);
+    Tail << "{\"entry\":{\"name\":\"torn";
+  }
+
+  // First resume: trims the torn line, truncates it away, finishes.
+  auto First = loadCheckpoint(Path, Id);
+  ASSERT_TRUE(static_cast<bool>(First)) << First.message();
+  EXPECT_EQ(First->Consumed, 7ull);
+  EXPECT_EQ(First->TrimReason, "line 11: torn line");
+  EXPECT_LT(First->TrustedBytes, std::filesystem::file_size(Path));
+  {
+    auto Writer = CheckpointWriter::append(Path, First->TrustedBytes);
+    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
+    Run(*Writer, vectorSource(Tests), First->Consumed);
+  }
+
+  // Second resume: the file holds the whole campaign and nothing else.
+  auto Second = loadCheckpoint(Path, Id);
+  ASSERT_TRUE(static_cast<bool>(Second)) << Second.message();
+  EXPECT_EQ(Second->TrimReason, "");
+  EXPECT_EQ(Second->Consumed, 12ull);
+  EXPECT_EQ(Second->TrustedBytes, std::filesystem::file_size(Path));
+  ASSERT_EQ(Second->Tests.size(), Reference.Tests.size());
+  for (size_t I = 0; I < Reference.Tests.size(); ++I)
+    EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Second->Tests[I])).dump(),
+              zeroWallTimes(sweepTestResultToJson(Reference.Tests[I])).dump())
+        << Reference.Tests[I].TestName;
+}
+
 TEST(Checkpoint, RefusesForeignCampaigns) {
   const std::string Dir = scratchDir("checkpoint_id");
   const std::string Path = Dir + "/c.jsonl";

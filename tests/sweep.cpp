@@ -16,11 +16,13 @@
 #include "litmus/Catalog.h"
 #include "litmus/Compiler.h"
 #include "model/Registry.h"
+#include "support/Rng.h"
 #include "sweep/SweepEngine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -477,4 +479,186 @@ TEST(Json, ParseErrors) {
   // Errors carry an offset.
   auto E = JsonValue::parse("[1, 2");
   EXPECT_NE(E.message().find("offset"), std::string::npos);
+}
+
+namespace {
+
+/// A fixed tree holding every kind, empty containers, every escape the
+/// writer emits and numbers in both formats.
+JsonValue goldenTree() {
+  JsonValue Root = JsonValue::object();
+  Root.set("null", JsonValue());
+  Root.set("yes", true);
+  Root.set("no", false);
+  Root.set("zero", 0);
+  Root.set("neg", -3);
+  Root.set("tenth", 0.1);
+  Root.set("big", 1e15);
+  Root.set("text", "q\"b\\n\nt\tr\r\x01"
+                   "c\x1f");
+  Root.set("empty_arr", JsonValue::array());
+  Root.set("empty_obj", JsonValue::object());
+  JsonValue Inner = JsonValue::array();
+  Inner.push(JsonValue());
+  Inner.push(false);
+  JsonValue List = JsonValue::array();
+  List.push(1);
+  List.push("a");
+  List.push(JsonValue::array());
+  List.push(JsonValue::object());
+  List.push(std::move(Inner));
+  Root.set("list", std::move(List));
+  JsonValue Deep = JsonValue::object();
+  Deep.set("k", "v");
+  JsonValue Nested = JsonValue::object();
+  Nested.set("deep", std::move(Deep));
+  Root.set("nested", std::move(Nested));
+  return Root;
+}
+
+/// A random string over plain, escaped, control and high bytes.
+std::string randomJsonString(Rng &R) {
+  static const char Alphabet[] = "ab:{}[], \"\\\n\t\r\x01\x1f\x7f\xc3\xa9";
+  std::string S;
+  for (uint64_t N = R.nextBelow(8); N; --N)
+    S += Alphabet[R.nextBelow(sizeof(Alphabet) - 1)];
+  return S;
+}
+
+/// A random tree at most \p Depth containers deep.
+JsonValue randomJson(Rng &R, unsigned Depth) {
+  switch (R.nextBelow(Depth ? 7 : 5)) {
+  case 0:
+    return JsonValue();
+  case 1:
+    return JsonValue(R.chance(1, 2));
+  case 2: // An integral count, printed without a decimal point.
+    return JsonValue(static_cast<double>(R.nextBelow(1ull << 53)) *
+                     (R.chance(1, 4) ? -1 : 1));
+  case 3: // A fraction of any magnitude, printed with 17 digits.
+    return JsonValue(static_cast<double>(R.next()) /
+                     static_cast<double>(1ull << R.nextBelow(64)) /
+                     (R.chance(1, 2) ? 1e300 : 7));
+  case 4:
+    return JsonValue(randomJsonString(R));
+  case 5: {
+    JsonValue A = JsonValue::array();
+    for (uint64_t N = R.nextBelow(5); N; --N)
+      A.push(randomJson(R, Depth - 1));
+    return A;
+  }
+  default: {
+    JsonValue O = JsonValue::object();
+    for (uint64_t N = R.nextBelow(5); N; --N)
+      O.set(randomJsonString(R), randomJson(R, Depth - 1));
+    return O;
+  }
+  }
+}
+
+} // namespace
+
+TEST(Json, GoldenRendering) {
+  // A report's memory scales with the node: a string plus the index.
+  EXPECT_LE(sizeof(JsonValue), sizeof(std::string) + sizeof(void *));
+  const JsonValue Root = goldenTree();
+  EXPECT_EQ(Root.dump(0),
+            R"({"null":null,"yes":true,"no":false,"zero":0,"neg":-3,)"
+            R"("tenth":0.10000000000000001,"big":1000000000000000,)"
+            R"("text":"q\"b\\n\nt\tr\r\u0001c\u001f","empty_arr":[],)"
+            R"("empty_obj":{},"list":[1,"a",[],{},[null,false]],)"
+            R"("nested":{"deep":{"k":"v"}}})");
+  EXPECT_EQ(Root.dump(2), R"({
+  "null": null,
+  "yes": true,
+  "no": false,
+  "zero": 0,
+  "neg": -3,
+  "tenth": 0.10000000000000001,
+  "big": 1000000000000000,
+  "text": "q\"b\\n\nt\tr\r\u0001c\u001f",
+  "empty_arr": [],
+  "empty_obj": {},
+  "list": [
+    1,
+    "a",
+    [],
+    {},
+    [
+      null,
+      false
+    ]
+  ],
+  "nested": {
+    "deep": {
+      "k": "v"
+    }
+  }
+}
+)");
+}
+
+TEST(Json, RandomTreesRoundTrip) {
+  Rng R(0x6a736f6e);
+  for (int I = 0; I < 500; ++I) {
+    const JsonValue V = randomJson(R, 4);
+    for (unsigned Indent : {0u, 2u}) {
+      const std::string Text = V.dump(Indent);
+      auto Back = JsonValue::parse(Text);
+      ASSERT_TRUE(static_cast<bool>(Back)) << Back.message() << "\n" << Text;
+      EXPECT_EQ(*Back, V) << Text;
+      EXPECT_EQ(Back->dump(Indent), Text);
+    }
+  }
+}
+
+TEST(Json, RejectsDeepNesting) {
+  // A megabyte of '[' used to overflow the parser's stack.
+  auto Deep = JsonValue::parse(std::string(1 << 20, '['));
+  ASSERT_FALSE(static_cast<bool>(Deep));
+  EXPECT_NE(Deep.message().find("offset 256:"), std::string::npos)
+      << Deep.message();
+  EXPECT_NE(Deep.message().find("nesting deeper than 256"), std::string::npos)
+      << Deep.message();
+  // The limit itself is accepted, in arrays and objects alike.
+  auto nested = [](unsigned Levels, const char *Open, const char *Close) {
+    std::string Text;
+    for (unsigned I = 0; I < Levels; ++I)
+      Text += Open;
+    Text += "0";
+    for (unsigned I = 0; I < Levels; ++I)
+      Text += Close;
+    return Text;
+  };
+  EXPECT_TRUE(static_cast<bool>(
+      JsonValue::parse(nested(MaxJsonDepth, "[", "]"))));
+  EXPECT_TRUE(static_cast<bool>(
+      JsonValue::parse(nested(MaxJsonDepth, "{\"k\":", "}"))));
+  EXPECT_FALSE(static_cast<bool>(
+      JsonValue::parse(nested(MaxJsonDepth + 1, "[", "]"))));
+  EXPECT_FALSE(static_cast<bool>(
+      JsonValue::parse(nested(MaxJsonDepth + 1, "{\"k\":", "}"))));
+}
+
+TEST(Json, NoNonFiniteNumbers) {
+  // A number beyond a double's range is an error naming its offset.
+  for (const char *Text : {"[1e999]", "[-1e999]"}) {
+    auto V = JsonValue::parse(Text);
+    ASSERT_FALSE(static_cast<bool>(V)) << Text;
+    EXPECT_NE(V.message().find("offset 1:"), std::string::npos)
+        << V.message();
+    EXPECT_NE(V.message().find("overflows"), std::string::npos)
+        << V.message();
+  }
+  // Underflow to zero stays a (finite) number.
+  auto Tiny = JsonValue::parse("1e-999");
+  ASSERT_TRUE(static_cast<bool>(Tiny)) << Tiny.message();
+  EXPECT_EQ(Tiny->asNumber(), 0);
+  // The writer renders what JSON cannot spell as null.
+  JsonValue A = JsonValue::array();
+  A.push(std::numeric_limits<double>::infinity());
+  A.push(-std::numeric_limits<double>::infinity());
+  A.push(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(A.dump(0), "[null,null,null]");
+  EXPECT_TRUE(static_cast<bool>(JsonValue::parse(A.dump(2))));
 }

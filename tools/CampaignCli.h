@@ -168,7 +168,8 @@ runCampaignSweep(const char *Tool, const SweepEngine &Engine,
                      Tool, Flags.CheckpointPath.c_str(),
                      Prefix.TrimReason.c_str());
       Hooks.SkipTests = Prefix.Consumed;
-      auto Reopened = CheckpointWriter::append(Flags.CheckpointPath);
+      auto Reopened = CheckpointWriter::append(Flags.CheckpointPath,
+                                               Prefix.TrustedBytes);
       if (!Reopened)
         return Ret::error(Reopened.message());
       Writer.emplace(Reopened.take());
