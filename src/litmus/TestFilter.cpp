@@ -66,32 +66,17 @@ cats::loadCampaignTests(const std::vector<std::string> &Paths,
                         bool UseCatalogue, const std::string &Filter,
                         std::vector<LitmusTest> Extra) {
   using Fail = Expected<CampaignTests>;
-  std::vector<std::string> Files;
-  for (const std::string &Path : Paths) {
-    Status Collected = collectLitmusFiles(Path, Files);
-    if (Collected.failed())
-      return Fail::error(Collected.message());
-  }
-
   CampaignTests Out;
-  for (const std::string &File : Files) {
-    auto Test = parseLitmusFile(File);
-    if (!Test) {
-      Out.Errors.push_back(File + ": " + Test.message());
-      continue;
-    }
-    Out.Tests.push_back(Test.take());
-  }
-  if (UseCatalogue)
-    for (const CatalogEntry &Entry : figureCatalog())
-      Out.Tests.push_back(Entry.Test);
-  for (LitmusTest &Test : Extra)
+  auto Source = streamCampaignTests(Paths, UseCatalogue, Filter, &Out.Errors);
+  if (!Source)
+    return Fail::error(Source.message());
+  for (LitmusTest Test; (*Source)(Test);)
     Out.Tests.push_back(std::move(Test));
-
-  auto Filtered = filterTestsByName(Out.Tests, Filter);
-  if (!Filtered)
-    return Fail::error(Filtered.message());
-  Out.Tests = Filtered.take();
+  auto Kept = filterTestsByName(Extra, Filter);
+  if (!Kept)
+    return Fail::error(Kept.message());
+  for (LitmusTest &Test : *Kept)
+    Out.Tests.push_back(std::move(Test));
   return Out;
 }
 

@@ -52,25 +52,26 @@ struct CampaignTests {
   std::vector<std::string> Errors;
 };
 
-/// The shared input pipeline of cats_sweep and cats_repair: expand
-/// \p Paths into .litmus files (sorted per directory) and parse them,
-/// append the built-in figure catalogue when \p UseCatalogue and then any
-/// \p Extra tests (e.g. a diy battery), and keep the names matching
-/// \p Filter. A bad path or a malformed regex fails the whole call;
-/// per-file parse failures only land in CampaignTests::Errors.
+/// The input pipeline of the tools that need the whole corpus at once
+/// (cats_repair, cats_run, cats_explain): drains streamCampaignTests
+/// (\p Paths expanded to sorted .litmus files, then the catalogue when
+/// \p UseCatalogue) and appends the \p Extra tests (e.g. a diy battery),
+/// keeping the names matching \p Filter throughout. A bad path or a
+/// malformed regex fails the whole call; per-file parse failures only
+/// land in CampaignTests::Errors.
 Expected<CampaignTests> loadCampaignTests(
     const std::vector<std::string> &Paths, bool UseCatalogue,
     const std::string &Filter, std::vector<LitmusTest> Extra = {});
 
-/// A pull-based litmus test source for batched campaigns: fills \p Out
+/// A pull-based litmus test source for streamed campaigns: fills \p Out
 /// and returns true, or returns false at end of stream. Sources are
 /// stateful single-pass generators; SweepEngine::runStreamed drains one
-/// in batches so a corpus of thousands never materializes at once.
+/// through a bounded window so a corpus of thousands never materializes.
 using TestSource = std::function<bool(LitmusTest &Out)>;
 
-/// The streaming twin of loadCampaignTests: the same inputs (paths
-/// expanded to sorted .litmus files, then the catalogue), but each file
-/// is parsed lazily at pull time. Parse failures are skipped and, when
+/// The campaign input stream: \p Paths expanded to sorted .litmus files,
+/// then the catalogue, each file parsed lazily at pull time and kept when
+/// its name matches \p Filter. Parse failures are skipped and, when
 /// \p Errors is non-null, appended there as they are encountered. Fails
 /// up front on a bad path or malformed \p Filter regex.
 Expected<TestSource> streamCampaignTests(

@@ -8,11 +8,13 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 
 using namespace cats;
 
@@ -44,6 +46,31 @@ void JsonValue::set(std::string Key, JsonValue V) {
       return;
     }
   Members.emplace_back(std::move(Key), std::move(V));
+}
+
+JsonValue JsonValue::object(Object Members) {
+  // Member indices by key, each run of equal keys in document order.
+  // Walking the runs backwards hands each key's last value to its first
+  // occurrence and drops the rest.
+  std::vector<size_t> Order(Members.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return Members[A].first < Members[B].first;
+  });
+  std::vector<bool> Drop(Members.size());
+  for (size_t I = Order.size(); I-- > 1;)
+    if (Members[Order[I]].first == Members[Order[I - 1]].first) {
+      Members[Order[I - 1]].second = std::move(Members[Order[I]].second);
+      Drop[Order[I]] = true;
+    }
+  Members.erase(std::remove_if(Members.begin(), Members.end(),
+                               [&](const Object::value_type &M) {
+                                 return Drop[&M - Members.data()];
+                               }),
+                Members.end());
+  JsonValue V;
+  V.Data = std::move(Members);
+  return V;
 }
 
 void JsonValue::reserve(size_t N) {
@@ -415,10 +442,10 @@ private:
 
   Expected<JsonValue> parseObject(unsigned Depth) {
     ++Pos; // '{'
-    JsonValue Out = JsonValue::object();
+    JsonValue::Object Members;
     skipWs();
     if (consume('}'))
-      return Out;
+      return JsonValue::object();
     while (true) {
       skipWs();
       if (Pos >= Text.size() || Text[Pos] != '"')
@@ -432,10 +459,10 @@ private:
       auto V = parseValue(Depth);
       if (!V)
         return V;
-      Out.set(K.take(), V.take());
+      Members.emplace_back(K.take(), V.take());
       skipWs();
       if (consume('}'))
-        return Out;
+        return JsonValue::object(std::move(Members));
       if (!consume(','))
         return fail("expected ',' or '}' in object");
     }

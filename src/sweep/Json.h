@@ -53,6 +53,10 @@ public:
   /// Creates an empty array / object.
   static JsonValue array() { JsonValue V; V.Data = Array(); return V; }
   static JsonValue object() { JsonValue V; V.Data = Object(); return V; }
+  /// Creates an object of \p Members, folding repeated keys as set() does:
+  /// the first occurrence keeps its place and takes the last value. Runs
+  /// in O(n log n), so no document makes parse() quadratic.
+  static JsonValue object(Object Members);
 
   /// The variant's alternatives are declared in Kind order.
   Kind kind() const { return static_cast<Kind>(Data.index()); }

@@ -10,8 +10,11 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 using namespace cats;
@@ -24,7 +27,7 @@ bool SweepReport::allOk() const {
 }
 
 SweepEngine::SweepEngine(SweepOptions Opts)
-    : Workers(Opts.Jobs), Backend(Opts.Backend), Witness(Opts.Witness) {
+    : Workers(Opts.Jobs), Judge{Opts.Backend, Opts.Witness} {
   unsigned Hw = std::thread::hardware_concurrency();
   if (Hw == 0)
     Hw = 1;
@@ -36,10 +39,16 @@ SweepEngine::SweepEngine(SweepOptions Opts)
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+double secondsSince(Clock::time_point Start) {
+  return std::chrono::duration<double>(Clock::now() - Start).count();
+}
+
 SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts) {
   SweepTestResult Out;
   Out.TestName = Job.Test.Name;
-  const auto Start = std::chrono::steady_clock::now();
+  const auto Start = Clock::now();
   obs::Span JobSpan(obs::traceEnabled() ? "judge " + Job.Test.Name
                                         : std::string());
 
@@ -61,62 +70,155 @@ SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts) {
   if (!Out.Error.empty())
     obs::tick("sweep.errors");
 
-  Out.WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
+  Out.WallSeconds = secondsSince(Start);
   obs::recordSeconds("sweep.job_wall_us", Out.WallSeconds);
   return Out;
+}
+
+/// One source position of the commit window: a cache hit, or a job queued
+/// for the pool whose Result is final once Done (set under the pool lock).
+struct Slot {
+  SweepJob Job;
+  SweepTestResult Result;
+  bool Hit = false, Done = false;
+};
+
+/// The judging threads of one sweep: at most Max, each started the first
+/// time a queued slot needs one and kept until the sweep ends. Destroying
+/// the pool stops and joins it, on every way out of the sweep.
+struct Judges {
+  Judges(unsigned Max, const SimulateOptions &Opts) : Max(Max), Opts(Opts) {}
+  const unsigned Max;
+  const SimulateOptions &Opts;
+  std::mutex Mu;
+  std::condition_variable Queued, Judged;
+  std::deque<Slot *> Todo;
+  bool Stop = false;
+  std::vector<std::thread> Threads;
+
+  ~Judges() {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Stop = true;
+    Queued.notify_all();
+    Lock.unlock();
+    for (std::thread &T : Threads)
+      T.join();
+  }
+
+  void submit(Slot &S) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Todo.push_back(&S);
+    Queued.notify_one();
+    if (Threads.size() < Max)
+      Threads.emplace_back([this] { work(); });
+  }
+
+  void await(const Slot &S) {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Judged.wait(Lock, [&] { return S.Done; });
+  }
+
+  void work() {
+    std::unique_lock<std::mutex> Lock(Mu);
+    while (Queued.wait(Lock, [this] { return Stop || !Todo.empty(); }),
+           !Stop) {
+      Slot &S = *Todo.front();
+      Todo.pop_front();
+      Lock.unlock();
+      SweepTestResult Result = runOneJob(S.Job, Opts);
+      Lock.lock();
+      S.Result = std::move(Result);
+      S.Done = true;
+      Judged.notify_one();
+    }
+  }
+};
+
+/// The one sweep pipeline behind run() and runStreamed(). The calling
+/// thread pulls jobs into a source-ordered window of 16 slots per worker
+/// (look-ahead past a slow test), resolving cache hits on the spot; the
+/// pool judges the rest; the calling thread commits finished slots in
+/// source order: cache store, report append, and OnBatch after every
+/// \p BatchSize commits plus once for a final partial group. \p Pull and
+/// every hook run on the calling thread only.
+SweepReport runPipeline(const std::function<bool(SweepJob &)> &Pull,
+                        unsigned Workers, const SimulateOptions &Opts,
+                        unsigned BatchSize, const StreamHooks &Hooks) {
+  obs::Span RunSpan("sweep run");
+  const auto Start = Clock::now();
+  SweepReport Report;
+  Report.CacheUsed = static_cast<bool>(Hooks.CacheLookup);
+  double PullSeconds = 0;
+
+  std::deque<Slot> Window;
+  Judges Pool(Workers, Opts); // Joined before the window it points into.
+  std::optional<obs::Span> GroupSpan;
+  unsigned InGroup = 0;
+  bool More = true;
+  while (true) {
+    while (More && Window.size() < 16 * size_t(Workers)) {
+      Slot &S = Window.emplace_back();
+      const auto PullStart = Clock::now();
+      More = Pull(S.Job);
+      S.Hit = More && Hooks.CacheLookup &&
+              Hooks.CacheLookup(S.Job.Test, S.Result);
+      PullSeconds += secondsSince(PullStart);
+      if (!More)
+        Window.pop_back();
+      else if (!S.Hit)
+        Pool.submit(S);
+    }
+    if (InGroup == BatchSize || (InGroup > 0 && Window.empty())) {
+      if (Hooks.OnBatch)
+        Hooks.OnBatch(Report, Report.Tests.size());
+      GroupSpan.reset();
+      InGroup = 0;
+    }
+    if (Window.empty())
+      break;
+    if (!GroupSpan)
+      GroupSpan.emplace("sweep batch");
+    Slot &S = Window.front();
+    if (!S.Hit) {
+      Pool.await(S);
+      if (Hooks.CacheStore)
+        Hooks.CacheStore(S.Job.Test, S.Result);
+    }
+    Report.CacheHits += S.Hit;
+    Report.CacheMisses += Report.CacheUsed && !S.Hit;
+    Report.Tests.push_back(std::move(S.Result));
+    Window.pop_front();
+    ++InGroup;
+  }
+
+  Report.Jobs = std::max<unsigned>(Pool.Threads.size(), 1);
+  Report.WallSeconds = secondsSince(Start);
+  obs::tick("sweep.tests_consumed", Report.Tests.size());
+  if (Report.CacheUsed) {
+    obs::tick("sweep.cache_hits", Report.CacheHits);
+    obs::tick("sweep.cache_misses", Report.CacheMisses);
+  }
+  // The caller's time in pulls, and the rest of the sweep's wall time.
+  obs::tick("sweep.generation_wall_us",
+            static_cast<unsigned long long>(PullSeconds * 1e6));
+  obs::tick("sweep.judge_wall_us",
+            static_cast<unsigned long long>(
+                (Report.WallSeconds - PullSeconds) * 1e6));
+  return Report;
 }
 
 } // namespace
 
 SweepReport SweepEngine::run(const std::vector<SweepJob> &Jobs) const {
-  obs::Span RunSpan(obs::traceEnabled() ? "sweep run (" +
-                                              std::to_string(Jobs.size()) +
-                                              " jobs)"
-                                        : std::string());
-  SweepReport Report;
-  Report.Tests.resize(Jobs.size());
-  const unsigned Used =
-      Jobs.empty()
-          ? 1u
-          : std::min<unsigned>(Workers, static_cast<unsigned>(Jobs.size()));
-  Report.Jobs = Used;
-
-  SimulateOptions SimOpts;
-  SimOpts.Backend = Backend;
-  SimOpts.Witness = Witness;
-
-  const auto Start = std::chrono::steady_clock::now();
-
-  // Work-stealing over a shared index: each worker claims the next
-  // unclaimed job and writes into its pre-sized slot, so the result order
-  // is the submission order regardless of scheduling.
-  std::atomic<size_t> Next{0};
-  auto Work = [&]() {
-    while (true) {
-      const size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Jobs.size())
-        return;
-      Report.Tests[I] = runOneJob(Jobs[I], SimOpts);
-    }
-  };
-
-  if (Used <= 1) {
-    Work();
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Used);
-    for (unsigned W = 0; W < Used; ++W)
-      Pool.emplace_back(Work);
-    for (std::thread &T : Pool)
-      T.join();
-  }
-
-  Report.WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
-  return Report;
+  size_t Next = 0;
+  return runPipeline(
+      [&](SweepJob &Job) {
+        if (Next == Jobs.size())
+          return false;
+        Job = Jobs[Next++];
+        return true;
+      },
+      Workers, Judge, DefaultBatch, StreamHooks());
 }
 
 SweepReport
@@ -124,107 +226,18 @@ SweepEngine::runStreamed(const TestSource &Source,
                          const std::vector<const Model *> &Models,
                          unsigned BatchSize,
                          const StreamHooks &Hooks) const {
-  if (BatchSize == 0)
-    BatchSize = 1;
-  SweepReport Report;
-  // Jobs reports the workers actually used: the widest batch decides
-  // (a drained source may never fill a batch up to the worker count).
-  Report.Jobs = 1;
-  Report.CacheUsed = static_cast<bool>(Hooks.CacheLookup);
-
-  const auto Start = std::chrono::steady_clock::now();
-
-  // Resume: burn the prefix a checkpoint already covers. The source must
-  // still produce (and a diy source still synthesizes) each skipped test,
-  // but none is judged — and judging dominates generation ~9:1.
-  bool More = true;
-  unsigned long long Consumed = 0;
-  {
-    LitmusTest Skipped;
-    for (unsigned long long I = 0; More && I < Hooks.SkipTests; ++I)
-      More = Source(Skipped);
-  }
-
-  // Generation-vs-judging wall split (the ~9:1 ratio from BENCH_diy),
-  // accumulated per batch: source pulls (including diy synthesis and
-  // cache lookups) vs the run() pass over the misses.
-  const bool Metrics = obs::metricsEnabled();
-  double SourceSeconds = 0, JudgeSeconds = 0;
-
-  while (More) {
-    obs::Span BatchSpan("sweep batch");
-    // One batch = BatchSize source pulls. Cache hits resolve into their
-    // slot immediately; misses become jobs judged in one run() pass and
-    // scattered back, so the report keeps exact source order either way.
-    std::vector<SweepTestResult> Slots;
-    std::vector<SweepJob> Batch;
-    std::vector<size_t> SlotOfJob;
-    Slots.reserve(BatchSize);
-    LitmusTest Test;
-    const auto FillStart = std::chrono::steady_clock::now();
-    {
-      obs::Span FillSpan("pull batch");
-      while (Slots.size() < BatchSize && (More = Source(Test))) {
-        ++Consumed;
-        SweepTestResult Hit;
-        if (Hooks.CacheLookup && Hooks.CacheLookup(Test, Hit)) {
-          ++Report.CacheHits;
-          Slots.push_back(std::move(Hit));
-          continue;
-        }
-        if (Report.CacheUsed)
-          ++Report.CacheMisses;
-        SlotOfJob.push_back(Slots.size());
-        Slots.emplace_back();
-        Batch.push_back(SweepJob{std::move(Test), Models});
-      }
-    }
-    const auto FillEnd = std::chrono::steady_clock::now();
-    if (Metrics) {
-      SourceSeconds +=
-          std::chrono::duration<double>(FillEnd - FillStart).count();
-      obs::histogram("sweep.batch_size").record(Slots.size());
-    }
-    if (Slots.empty())
-      break;
-    if (!Batch.empty()) {
-      SweepReport Part = run(Batch);
-      Report.Jobs = std::max(Report.Jobs, Part.Jobs);
-      for (size_t J = 0; J < Part.Tests.size(); ++J) {
-        if (Hooks.CacheStore)
-          Hooks.CacheStore(Batch[J].Test, Part.Tests[J]);
-        Slots[SlotOfJob[J]] = std::move(Part.Tests[J]);
-      }
-    }
-    if (Metrics) {
-      const double BatchJudge =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        FillEnd)
-              .count();
-      JudgeSeconds += BatchJudge;
-      obs::histogram("sweep.batch_wall_us")
-          .record(static_cast<unsigned long long>(BatchJudge * 1e6));
-    }
-    for (SweepTestResult &T : Slots)
-      Report.Tests.push_back(std::move(T));
-    if (Hooks.OnBatch)
-      Hooks.OnBatch(Report, Consumed);
-  }
-  Report.WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
-  if (Metrics) {
-    obs::counter("sweep.tests_consumed").add(Consumed);
-    if (Report.CacheUsed) {
-      obs::counter("sweep.cache_hits").add(Report.CacheHits);
-      obs::counter("sweep.cache_misses").add(Report.CacheMisses);
-    }
-    obs::counter("sweep.generation_wall_us")
-        .add(static_cast<unsigned long long>(SourceSeconds * 1e6));
-    obs::counter("sweep.judge_wall_us")
-        .add(static_cast<unsigned long long>(JudgeSeconds * 1e6));
-  }
-  return Report;
+  // Resume: the first pull burns (still synthesizing, never judging) the
+  // prefix a checkpoint already covers.
+  unsigned long long Skip = Hooks.SkipTests;
+  return runPipeline(
+      [&](SweepJob &Job) {
+        for (; Skip > 0; --Skip)
+          if (!Source(Job.Test))
+            return false;
+        Job.Models = Models;
+        return Source(Job.Test);
+      },
+      Workers, Judge, std::max(BatchSize, 1u), Hooks);
 }
 
 std::vector<SweepJob> cats::makeJobs(const std::vector<LitmusTest> &Tests,

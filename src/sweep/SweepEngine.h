@@ -12,9 +12,10 @@
 /// (herd/Simulator's MultiModelChecker), instead of one full enumeration
 /// per model as the legacy per-model simulate() loop does.
 ///
-/// Jobs are distributed over a pool of std::thread workers. Results land in
-/// a slot per job, so the report order equals submission order and is
-/// byte-for-byte deterministic for any worker count.
+/// One pipeline runs every sweep: the calling thread pulls tests into a
+/// bounded window, a worker pool started once per sweep judges them, and
+/// the calling thread commits results in source order, so the report is
+/// byte-for-byte deterministic for any worker count (docs/sweep.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +72,7 @@ struct SweepReport {
   std::vector<SweepTestResult> Tests;
   /// Wall time of the whole sweep, seconds.
   double WallSeconds = 0;
-  /// Worker threads actually used.
+  /// Worker threads started (at least 1; cache hits need none).
   unsigned Jobs = 1;
   /// Result-cache statistics of a streamed run with cache hooks attached
   /// (campaign/ResultCache.h). CacheUsed stays false on plain runs and
@@ -88,17 +89,17 @@ struct SweepReport {
 /// Optional instrumentation of a streamed campaign (runStreamed). All
 /// members default to inert; the campaign layer (src/campaign/) supplies
 /// them for caching and checkpoint/resume without the engine depending on
-/// either subsystem.
+/// either subsystem. Every hook runs on the thread that called the engine.
 struct StreamHooks {
   /// Consulted per pulled test before judging; return true and fill the
-  /// result to skip the batch entirely (a cache hit). Hit results land in
-  /// the report at the test's source position, exactly as if judged.
+  /// result to skip judging (a cache hit). Hit results land in the report
+  /// at the test's source position, exactly as if judged.
   std::function<bool(const LitmusTest &, SweepTestResult &)> CacheLookup;
   /// Offered every freshly judged result (cache population).
   std::function<void(const LitmusTest &, const SweepTestResult &)> CacheStore;
-  /// Called after each completed batch with the cumulative report and the
-  /// total number of source tests consumed so far — the checkpoint write
-  /// point: everything in the report is final, nothing in flight.
+  /// Called after every BatchSize committed tests, and once for a final
+  /// partial group, with the cumulative report and its test count (which
+  /// its cache counters cover exactly) — the checkpoint write point.
   std::function<void(const SweepReport &SoFar, unsigned long long Consumed)>
       OnBatch;
   /// Pull and discard this many source tests before judging anything —
@@ -115,27 +116,28 @@ public:
   /// Worker threads this engine will use.
   unsigned workerCount() const { return Workers; }
 
+  /// Tests per OnBatch group when the caller does not choose.
+  static constexpr unsigned DefaultBatch = 64;
+
   /// Runs every job and returns the report. Thread-safe for concurrent
   /// calls (the engine holds no mutable state).
   SweepReport run(const std::vector<SweepJob> &Jobs) const;
 
-  /// Streamed campaign: pulls up to \p BatchSize tests from \p Source,
-  /// judges the batch under \p Models as one run() pass, appends the
-  /// results, and repeats until the source drains. Results keep source
-  /// order; peak memory is one batch of tests plus the accumulated
-  /// (test-free) results — this is how the diy enumeration feeds
-  /// thousands of generated scenarios through the engine. \p Hooks adds
-  /// the campaign-scale behaviours: result-cache lookup/store around each
-  /// test, a per-batch checkpoint callback, and a resume skip count.
+  /// Streamed campaign: judges every test \p Source yields under
+  /// \p Models, in source order. Peak memory is the window of in-flight
+  /// tests plus the accumulated (test-free) results — this is how the diy
+  /// enumeration feeds thousands of generated scenarios through the
+  /// engine. \p Hooks adds the campaign-scale behaviours: result-cache
+  /// lookup/store around each test, a checkpoint callback every
+  /// \p BatchSize committed tests, and a resume skip count.
   SweepReport runStreamed(const TestSource &Source,
                           const std::vector<const Model *> &Models,
-                          unsigned BatchSize = 64,
+                          unsigned BatchSize = DefaultBatch,
                           const StreamHooks &Hooks = {}) const;
 
 private:
   unsigned Workers;
-  JudgeBackend Backend;
-  bool Witness;
+  SimulateOptions Judge;
 };
 
 /// Convenience: one job per test, all judged under the same \p Models.

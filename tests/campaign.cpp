@@ -22,6 +22,7 @@
 #include "cat/CatAdapter.h"
 #include "diy/Enumerate.h"
 #include "litmus/Catalog.h"
+#include "litmus/TestFilter.h"
 #include "model/Registry.h"
 #include "mole/Mine.h"
 #include "obs/Metrics.h"
@@ -31,12 +32,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <thread>
 
 using namespace cats;
 
@@ -645,6 +649,164 @@ TEST(Checkpoint, RefusesForeignCampaigns) {
   auto Foreign = loadCheckpoint(Path, campaignId("spec-b"));
   EXPECT_FALSE(static_cast<bool>(Foreign));
   EXPECT_NE(Foreign.message().find("different campaign"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Campaign inputs
+//===----------------------------------------------------------------------===//
+
+TEST(CampaignInputs, LoadDrainsTheStreamThenAppendsFilteredExtras) {
+  const std::string Dir = scratchDir("inputs");
+  auto Write = [&](const std::string &Name, const std::string &Text) {
+    std::ofstream(Dir + "/" + Name) << Text;
+  };
+  const LitmusTest &Mp = catalogEntry("mp")->Test;
+  const LitmusTest &Sb = catalogEntry("sb")->Test;
+  // Directory order is sorted by path, whatever the tests are named.
+  Write("a.litmus", Sb.toString());
+  Write("b.litmus", "this is not a litmus test\n");
+  Write("c.litmus", Mp.toString());
+  Write("notes.txt", "ignored: not a .litmus file\n");
+
+  LitmusTest Kept = Mp, Dropped = Sb;
+  Kept.Name = "x1";
+  Dropped.Name = "x2";
+  const std::string Filter = "^(mp|sb|x1)$";
+  auto Loaded = loadCampaignTests({Dir}, /*UseCatalogue=*/true, Filter,
+                                  {Kept, Dropped});
+  ASSERT_TRUE(static_cast<bool>(Loaded)) << Loaded.message();
+
+  // Files (sorted), then the catalogue, then the extras, all filtered.
+  std::vector<std::string> Expected = {"sb", "mp"};
+  for (const CatalogEntry &Entry : figureCatalog())
+    if (Entry.Test.Name == "mp" || Entry.Test.Name == "sb")
+      Expected.push_back(Entry.Test.Name);
+  Expected.push_back("x1");
+  std::vector<std::string> Names;
+  for (const LitmusTest &Test : Loaded->Tests)
+    Names.push_back(Test.Name);
+  EXPECT_EQ(Names, Expected);
+
+  // The malformed file is reported by path; the rest still loads.
+  ASSERT_EQ(Loaded->Errors.size(), 1u);
+  EXPECT_EQ(Loaded->Errors[0].rfind(Dir + "/b.litmus: ", 0), 0u)
+      << Loaded->Errors[0];
+
+  // A malformed regex and a missing path fail the whole call.
+  auto BadRegex = loadCampaignTests({Dir}, true, "(");
+  ASSERT_FALSE(static_cast<bool>(BadRegex));
+  EXPECT_NE(BadRegex.message().find("bad filter regex"), std::string::npos);
+  EXPECT_FALSE(static_cast<bool>(
+      loadCampaignTests({Dir + "/missing"}, false, "")));
+}
+
+//===----------------------------------------------------------------------===//
+// The sweep pipeline's calling-thread contract
+//===----------------------------------------------------------------------===//
+
+TEST(Pipeline, HooksRunOnTheCallerAndCommitInOrderAtAnyWorkerCount) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  std::vector<const Model *> Models = {modelByName("SC"), modelByName("TSO"),
+                                       modelByName("Power")};
+  const SweepReport Full = SweepEngine({1}).runStreamed(vectorSource(Tests),
+                                                        Models);
+  ASSERT_EQ(Full.Tests.size(), Tests.size());
+  // A half-warm cache: every other test hits, so hits and misses
+  // interleave inside the window.
+  std::map<std::string, SweepTestResult> Warm;
+  for (size_t I = 0; I < Tests.size(); I += 2)
+    Warm[Tests[I].Name] = Full.Tests[I];
+  ASSERT_EQ(Warm.size(), (Tests.size() + 1) / 2) << "test names repeat";
+
+  const unsigned Batch = 4;
+  for (unsigned long long Skip : {0ull, 7ull}) {
+    std::string Reference;
+    for (unsigned Workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE("skip " + std::to_string(Skip) + ", " +
+                   std::to_string(Workers) + " worker(s)");
+      const std::thread::id Caller = std::this_thread::get_id();
+      std::atomic<unsigned> OffCaller{0};
+      auto OnCaller = [&] {
+        if (std::this_thread::get_id() != Caller)
+          ++OffCaller;
+      };
+      TestSource Inner = vectorSource(Tests);
+      TestSource Source = [&, Inner](LitmusTest &Out) {
+        OnCaller();
+        return Inner(Out);
+      };
+      std::vector<std::string> Stored;
+      unsigned Batches = 0;
+      StreamHooks Hooks;
+      Hooks.SkipTests = Skip;
+      Hooks.CacheLookup = [&](const LitmusTest &Test, SweepTestResult &Out) {
+        OnCaller();
+        auto It = Warm.find(Test.Name);
+        if (It == Warm.end())
+          return false;
+        Out = It->second;
+        return true;
+      };
+      Hooks.CacheStore = [&](const LitmusTest &Test, const SweepTestResult &) {
+        OnCaller();
+        Stored.push_back(Test.Name);
+      };
+      Hooks.OnBatch = [&](const SweepReport &SoFar,
+                          unsigned long long Consumed) {
+        OnCaller();
+        ++Batches;
+        // Committed tests only: the count and the cache counters cover
+        // exactly the report so far, so a checkpoint here resumes exactly.
+        EXPECT_EQ(Consumed, SoFar.Tests.size());
+        EXPECT_EQ(SoFar.CacheHits + SoFar.CacheMisses, SoFar.Tests.size());
+        EXPECT_TRUE(SoFar.Tests.size() % Batch == 0 ||
+                    SoFar.Tests.size() == Tests.size() - Skip);
+      };
+
+      SweepReport Report =
+          SweepEngine({Workers}).runStreamed(Source, Models, Batch, Hooks);
+      EXPECT_EQ(OffCaller.load(), 0u);
+      const size_t Swept = Tests.size() - Skip;
+      ASSERT_EQ(Report.Tests.size(), Swept);
+      EXPECT_EQ(Batches, (Swept + Batch - 1) / Batch);
+      std::vector<std::string> Misses;
+      for (size_t I = Skip; I < Tests.size(); ++I) {
+        if (!Warm.count(Tests[I].Name))
+          Misses.push_back(Tests[I].Name);
+        EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Report.Tests[I - Skip]))
+                      .dump(),
+                  zeroWallTimes(sweepTestResultToJson(Full.Tests[I])).dump())
+            << Tests[I].Name;
+      }
+      EXPECT_EQ(Stored, Misses);
+      EXPECT_EQ(Report.CacheMisses, Misses.size());
+      EXPECT_EQ(Report.CacheHits, Swept - Misses.size());
+
+      Report.Jobs = 1; // The one field that names the worker count.
+      if (Reference.empty())
+        Reference = scrubbedDump(Report);
+      EXPECT_EQ(scrubbedDump(Report), Reference);
+    }
+  }
+}
+
+TEST(Pipeline, WorkersStartedCountsOnlyThreadsThatJudged) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(3);
+  std::vector<const Model *> Models = {modelByName("SC")};
+  EXPECT_EQ(SweepEngine({4}).run(makeJobs(Tests, Models)).Jobs,
+            std::min(3u, SweepEngine({4}).workerCount()));
+  EXPECT_EQ(SweepEngine({4}).run({}).Jobs, 1u);
+  // A fully warm cache judges nothing and starts no worker.
+  StreamHooks Hooks;
+  Hooks.CacheLookup = [](const LitmusTest &Test, SweepTestResult &Out) {
+    Out.TestName = Test.Name;
+    return true;
+  };
+  SweepReport Warm =
+      SweepEngine({4}).runStreamed(vectorSource(Tests), Models, 2, Hooks);
+  EXPECT_EQ(Warm.Jobs, 1u);
+  EXPECT_EQ(Warm.CacheHits, 3ull);
 }
 
 //===----------------------------------------------------------------------===//

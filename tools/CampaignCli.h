@@ -42,7 +42,7 @@ struct CampaignFlags {
   bool Resume = false;
 
   /// True when any campaign behaviour is requested (the tools use this
-  /// to pick the streamed code path).
+  /// to reject flags that do not combine with one).
   bool active() const {
     return Shard.active() || !CacheDir.empty() || !CheckpointPath.empty();
   }
@@ -134,7 +134,7 @@ inline Status validateCampaignFlags(const CampaignFlags &Flags) {
 inline Expected<SweepReport>
 runCampaignSweep(const char *Tool, const SweepEngine &Engine,
                  TestSource Source, const std::vector<const Model *> &Models,
-                 unsigned Batch, const CampaignFlags &Flags,
+                 const CampaignFlags &Flags,
                  const std::string &Spec,
                  obs::ProgressReporter *Progress = nullptr) {
   using Ret = Expected<SweepReport>;
@@ -206,7 +206,8 @@ runCampaignSweep(const char *Tool, const SweepEngine &Engine,
     };
   }
 
-  SweepReport Report = Engine.runStreamed(Source, Models, Batch, Hooks);
+  SweepReport Report =
+      Engine.runStreamed(Source, Models, SweepEngine::DefaultBatch, Hooks);
   if (Progress)
     Progress->finish();
 

@@ -8,7 +8,7 @@
 /// The diycross CLI over src/diy/Enumerate: exhaustively enumerate the
 /// canonical critical cycles of an architecture's edge vocabulary, and
 /// optionally synthesize the tests, export them as .litmus files, or
-/// stream them through the sweep engine in batches.
+/// stream them through the sweep engine.
 ///
 ///   cats_diy --arch power --size 6                # enumerate, print names
 ///   cats_diy --size 4 --filter '^mp' --synthesize # synthesis check
@@ -50,7 +50,6 @@ int usage(const char *Argv0) {
       {"--sweep", "sweep the synthesized corpus (implies synthesis)"},
       {"--models A,B,C", "models for --sweep (default: all)"},
       {"--jobs N", "sweep worker threads (default: hardware)"},
-      {"--batch N", "streaming batch size (default: 64)"},
       {"--json FILE", "write the cats-diy-report/1 JSON report"},
       {"--sweep-json FILE", "also write the sweep leg as a\n"
                             "cats-sweep-report/1 (mergeable by cats_merge)"},
@@ -88,7 +87,7 @@ int main(int argc, char **argv) {
   std::string ArchName = "power", Filter, ExportDir, JsonPath, SweepJsonPath;
   std::vector<std::string> ModelNames;
   bool Synthesize = false, Sweep = false, Quiet = false;
-  unsigned Jobs = 0, Batch = 64;
+  unsigned Jobs = 0;
   cli::CampaignFlags Campaign;
   cli::ObsFlags Obs;
 
@@ -144,9 +143,6 @@ int main(int argc, char **argv) {
         return 2;
     } else if (Args.is("--jobs")) {
       if (!Args.unsignedValue(Jobs))
-        return 2;
-    } else if (Args.is("--batch")) {
-      if (!Args.unsignedValue(Batch))
         return 2;
     } else if (Args.is("--json")) {
       const char *V = Args.value();
@@ -250,7 +246,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Phase 3: batched sweep over a source that synthesizes the already
+  // Phase 3: streamed sweep over a source that synthesizes the already
   // enumerated records on demand (no second enumeration pass).
   std::vector<const Model *> Models;
   SweepReport Report;
@@ -291,7 +287,7 @@ int main(int argc, char **argv) {
         ";models=" + joinStrings(cli::modelNamesOf(Models), ",") +
         ";shard=" + Campaign.Shard.toString();
     auto Swept = cli::runCampaignSweep("cats_diy", Engine, Source, Models,
-                                       Batch, Campaign, Spec, &Progress);
+                                       Campaign, Spec, &Progress);
     if (!Swept) {
       std::fprintf(stderr, "cats_diy: %s\n", Swept.message().c_str());
       return 2;

@@ -43,7 +43,6 @@ int usage(const char *Argv0) {
   std::vector<cli::FlagDoc> Flags = {
       {"--models A,B,C", "comma-separated model names (default: all)"},
       {"--jobs N", "sweep worker threads (default: hardware)"},
-      {"--batch N", "streaming batch size (default: 64)"},
       {"--filter REGEX", "keep tests whose name matches"},
       {"--catalogue", "add the built-in figure catalogue"},
       {"--diy ARCH", "add a diy-enumerated slice for ARCH"},
@@ -86,7 +85,7 @@ int usage(const char *Argv0) {
 } // namespace
 
 int main(int argc, char **argv) {
-  unsigned Jobs = 0, Batch = 64;
+  unsigned Jobs = 0;
   bool UseCatalogue = false, Quiet = false, RunNative = false;
   std::string Filter, JsonPath, DiyArch, RunModelName;
   EnumerateOptions DiyOpts;
@@ -114,9 +113,6 @@ int main(int argc, char **argv) {
         return 2;
     } else if (Args.is("--jobs")) {
       if (!Args.unsignedValue(Jobs))
-        return 2;
-    } else if (Args.is("--batch")) {
-      if (!Args.unsignedValue(Batch))
         return 2;
     } else if (Args.is("--filter")) {
       const char *V = Args.value();
@@ -220,15 +216,14 @@ int main(int argc, char **argv) {
   if (!HasCorpus && MolePrograms.empty())
     UseCatalogue = true;
 
-  // Sweep the corpus: files/catalogue first, then the diy slice, both
-  // streamed in batches. With --run, the streamed tests are teed into a
-  // corpus for the native execution pass (the only place the whole
-  // corpus materializes, which --run implies anyway).
+  // Sweep the corpus: files/catalogue first, then the diy slice, as one
+  // streamed sweep. With --run, the swept tests are teed into a corpus
+  // for the native execution pass (the only place the whole corpus
+  // materializes, which --run implies anyway).
   cli::applyObsFlags(Obs);
   obs::ProgressReporter Progress("cats_mine", 0, Obs.Progress);
 
   SweepEngine Engine(SweepOptions{Jobs});
-  SweepReport Report;
   std::vector<std::string> LoadErrors;
   std::vector<LitmusTest> RunCorpus;
   std::optional<ResultCache> Cache;
@@ -240,37 +235,10 @@ int main(int argc, char **argv) {
     }
     Cache.emplace(Opened.take());
   }
-  auto SweepInto = [&](const TestSource &Source) {
-    // Shard first, then tee: a shard natively runs (and mines) only the
-    // tests it owns, and the shards' unions cover each source exactly.
-    TestSource Sharded = shardTestSource(Source, Campaign.Shard);
-    TestSource Teed = Sharded;
-    if (RunNative)
-      Teed = [&RunCorpus, Sharded](LitmusTest &Out) -> bool {
-        if (!Sharded(Out))
-          return false;
-        RunCorpus.push_back(Out);
-        return true;
-      };
-    StreamHooks Hooks = Cache ? Cache->hooks(Models) : StreamHooks{};
-    if (Progress.enabled())
-      // Cumulative over the earlier sources: the accumulated Report holds
-      // everything swept before this one.
-      Hooks.OnBatch = [&Progress, &Report](const SweepReport &SoFar,
-                                           unsigned long long Consumed) {
-        Progress.update(Report.Tests.size() + Consumed,
-                        Report.CacheHits + SoFar.CacheHits,
-                        Report.CacheMisses + SoFar.CacheMisses);
-      };
-    SweepReport Part = Engine.runStreamed(Teed, Models, Batch, Hooks);
-    for (SweepTestResult &T : Part.Tests)
-      Report.Tests.push_back(std::move(T));
-    Report.Jobs = std::max(Report.Jobs, Part.Jobs);
-    Report.WallSeconds += Part.WallSeconds;
-    Report.CacheUsed = Report.CacheUsed || Part.CacheUsed;
-    Report.CacheHits += Part.CacheHits;
-    Report.CacheMisses += Part.CacheMisses;
-  };
+  // Each source is sharded on its own: a shard natively runs (and mines)
+  // only the tests it owns, and the shards' unions cover each source
+  // exactly.
+  std::vector<TestSource> Sources;
   if (!Paths.empty() || UseCatalogue) {
     auto Source =
         streamCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
@@ -278,7 +246,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "cats_mine: %s\n", Source.message().c_str());
       return 2;
     }
-    SweepInto(*Source);
+    Sources.push_back(shardTestSource(Source.take(), Campaign.Shard));
   }
   if (!DiyArch.empty()) {
     if (!parseArch(DiyArch, DiyOpts.Target)) {
@@ -291,8 +259,26 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "cats_mine: %s\n", Source.message().c_str());
       return 2;
     }
-    SweepInto(*Source);
+    Sources.push_back(shardTestSource(Source.take(), Campaign.Shard));
   }
+  size_t Current = 0;
+  TestSource Corpus = [&](LitmusTest &Out) {
+    for (; Current < Sources.size(); ++Current)
+      if (Sources[Current](Out)) {
+        if (RunNative)
+          RunCorpus.push_back(Out);
+        return true;
+      }
+    return false;
+  };
+  StreamHooks Hooks = Cache ? Cache->hooks(Models) : StreamHooks{};
+  if (Progress.enabled())
+    Hooks.OnBatch = [&Progress](const SweepReport &SoFar,
+                                unsigned long long Consumed) {
+      Progress.update(Consumed, SoFar.CacheHits, SoFar.CacheMisses);
+    };
+  const SweepReport Report =
+      Engine.runStreamed(Corpus, Models, SweepEngine::DefaultBatch, Hooks);
   Progress.finish();
   for (const std::string &Problem : LoadErrors)
     std::fprintf(stderr, "cats_mine: %s\n", Problem.c_str());
