@@ -8,9 +8,6 @@
 
 #include "support/StringUtils.h"
 
-#include <fstream>
-#include <sstream>
-
 using namespace cats;
 
 namespace {
@@ -26,73 +23,82 @@ std::string sourceHash(const std::string &Text) {
   return strFormat("%016llx", static_cast<unsigned long long>(H));
 }
 
+/// The framework axiom a check label names, if any.
+std::optional<Axiom> axiomOfCheck(const std::string &Label) {
+  if (Label == "sc-per-location" || Label == "uniproc")
+    return Axiom::ScPerLocation;
+  if (Label == "no-thin-air" || Label == "thinair")
+    return Axiom::NoThinAir;
+  if (Label == "observation")
+    return Axiom::Observation;
+  if (Label == "propagation")
+    return Axiom::Propagation;
+  return std::nullopt;
+}
+
 } // namespace
 
-CatAdapterModel::CatAdapterModel(cat::CatModel CatIn, std::string SourceIn)
+CatAdapterModel::CatAdapterModel(cat::CatModel CatIn)
     : Cat(std::make_shared<const cat::CatModel>(std::move(CatIn))),
-      SourceHash(sourceHash(SourceIn)) {}
+      SourceHash(sourceHash(Cat->source())) {
+  for (const std::string &Label : Cat->checkNames())
+    CheckAxioms.push_back(axiomOfCheck(Label));
+  auto FirstDefined = [this](std::initializer_list<const char *> Names) {
+    for (const char *Name : Names)
+      if (Cat->defines(Name))
+        return std::string(Name);
+    return std::string();
+  };
+  PpoName = FirstDefined({"ppo"});
+  FenceName = FirstDefined({"fence", "fences"});
+  PropName = FirstDefined({"prop"});
+}
 
 Expected<CatAdapterModel> CatAdapterModel::fromSource(
     const std::string &Source, const std::string &Name) {
   auto Compiled = cat::CatModel::fromSource(Source, Name);
   if (!Compiled)
     return Expected<CatAdapterModel>::error(Compiled.message());
-  return CatAdapterModel(Compiled.take(), Source);
+  return CatAdapterModel(Compiled.take());
 }
 
 Expected<CatAdapterModel> CatAdapterModel::fromFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
-    return Expected<CatAdapterModel>::error("cannot open cat file: " + Path);
-  std::ostringstream Text;
-  Text << In.rdbuf();
   auto Compiled = cat::CatModel::fromFile(Path);
   if (!Compiled)
     return Expected<CatAdapterModel>::error(Compiled.message());
-  return CatAdapterModel(Compiled.take(), Text.str());
+  return CatAdapterModel(Compiled.take());
 }
 
 std::string CatAdapterModel::name() const { return Cat->name(); }
 
 Relation CatAdapterModel::ppo(const Execution &Exe) const {
-  if (auto R = Cat->evaluate("ppo", Exe))
-    return R.take();
-  return Exe.Po;
+  if (PpoName.empty())
+    return Exe.Po;
+  return Cat->evaluate(PpoName, Exe).take();
 }
 
 Relation CatAdapterModel::fences(const Execution &Exe) const {
-  if (auto R = Cat->evaluate("fence", Exe))
-    return R.take();
-  if (auto R = Cat->evaluate("fences", Exe))
-    return R.take();
-  return Relation(Exe.numEvents());
+  if (FenceName.empty())
+    return Relation(Exe.numEvents());
+  return Cat->evaluate(FenceName, Exe).take();
 }
 
 Relation CatAdapterModel::prop(const Execution &Exe) const {
-  if (auto R = Cat->evaluate("prop", Exe))
-    return R.take();
-  return Relation(Exe.numEvents());
+  if (PropName.empty())
+    return Relation(Exe.numEvents());
+  return Cat->evaluate(PropName, Exe).take();
 }
 
 Verdict CatAdapterModel::check(const Execution &Exe) const {
   Verdict Out;
-  for (const cat::CheckResult &C : Cat->check(Exe)) {
-    if (C.Holds)
+  const std::vector<cat::CheckResult> Results = Cat->check(Exe);
+  for (size_t I = 0; I < Results.size(); ++I) {
+    if (Results[I].Holds)
       continue;
+    // Forbidden; a check outside the four axioms names no Violated entry.
     Out.Allowed = false;
-    Axiom A;
-    if (C.Name == "sc-per-location" || C.Name == "uniproc")
-      A = Axiom::ScPerLocation;
-    else if (C.Name == "no-thin-air" || C.Name == "thinair")
-      A = Axiom::NoThinAir;
-    else if (C.Name == "observation")
-      A = Axiom::Observation;
-    else if (C.Name == "propagation")
-      A = Axiom::Propagation;
-    else
-      continue; // forbidden, but outside the four-axiom classification
-    if (!Out.violates(A))
-      Out.Violated.push_back(A);
+    if (const std::optional<Axiom> A = CheckAxioms[I]; A && !Out.violates(*A))
+      Out.Violated.push_back(*A);
   }
   return Out;
 }

@@ -24,7 +24,9 @@
 #include "model/Model.h"
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace cats {
 
@@ -36,7 +38,8 @@ public:
   static Expected<CatAdapterModel> fromSource(const std::string &Source,
                                               const std::string &Name);
 
-  /// Loads and wraps a .cat file from disk.
+  /// Loads and wraps a .cat file from disk; the fingerprint hashes the
+  /// very text that was compiled.
   static Expected<CatAdapterModel> fromFile(const std::string &Path);
 
   std::string name() const override;
@@ -64,12 +67,18 @@ public:
   const cat::CatModel &catModel() const { return *Cat; }
 
 private:
-  CatAdapterModel(cat::CatModel CatIn, std::string SourceIn);
+  explicit CatAdapterModel(cat::CatModel CatIn);
 
   // Shared so the adapter stays copyable (Expected requires it); the
   // wrapped CatModel is immutable after construction.
   std::shared_ptr<const cat::CatModel> Cat;
   std::string SourceHash;
+  /// The axiom each check (in file order) is classified onto; none for a
+  /// check outside the four-axiom vocabulary.
+  std::vector<std::optional<Axiom>> CheckAxioms;
+  /// The definitions behind ppo(), fences() and prop(); empty when the
+  /// file binds none, and the fallback applies.
+  std::string PpoName, FenceName, PropName;
 };
 
 } // namespace cats

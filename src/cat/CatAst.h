@@ -57,6 +57,10 @@ struct Expr {
   std::unique_ptr<Expr> Rhs;
   /// Source line for diagnostics.
   unsigned Line = 0;
+  /// Height of this subtree (a leaf is 1); the parser bounds it.
+  unsigned Height = 1;
+  /// For Name: the environment slot the model's resolver bound it to.
+  unsigned Slot = 0;
 
   static std::unique_ptr<Expr> name(std::string N, unsigned Line);
   static std::unique_ptr<Expr> empty(unsigned Line);
@@ -77,6 +81,8 @@ struct Expr {
 struct Binding {
   std::string Name;
   std::unique_ptr<Expr> Body;
+  /// The environment slot the model's resolver gave this binding.
+  unsigned Slot = 0;
 };
 
 /// Kinds of top-level statements.

@@ -10,7 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <fstream>
-#include <map>
+#include <iterator>
 #include <sstream>
 
 using namespace cats;
@@ -18,28 +18,61 @@ using namespace cats::cat;
 
 namespace {
 
-/// Evaluation environment: builtins computed lazily from the execution,
-/// user definitions added as statements execute.
-class Env {
-public:
-  explicit Env(const Execution &Exe) : Exe(Exe) {}
+/// A builtin relation: its cat name and how to derive it from an
+/// execution. A fence has no getter; it is the fence relation of its name.
+struct Builtin {
+  const char *Name;
+  Relation (*Get)(const Execution &Exe) = nullptr;
+};
 
-  /// Looks up \p Name; returns nullptr when unknown.
-  const Relation *lookup(const std::string &Name) {
-    auto It = Values.find(Name);
-    if (It != Values.end())
-      return &It->second;
-    if (computeBuiltin(Name)) {
-      return &Values.find(Name)->second;
+/// The builtin vocabulary, the one list of it: slot I holds Builtins[I].
+/// The paper's ctrl+isync is spelled ctrlisync (ctrlisb on ARM) because
+/// '+' is the closure operator here.
+const Builtin Builtins[] = {
+    {"po", [](const Execution &E) { return E.Po; }},
+    {"po-loc", [](const Execution &E) { return E.poLoc(); }},
+    {"rf", [](const Execution &E) { return E.Rf; }},
+    {"rfe", [](const Execution &E) { return E.rfe(); }},
+    {"rfi", [](const Execution &E) { return E.rfi(); }},
+    {"co", [](const Execution &E) { return E.Co; }},
+    {"coe", [](const Execution &E) { return E.coe(); }},
+    {"coi", [](const Execution &E) { return E.coi(); }},
+    {"fr", [](const Execution &E) { return E.fr(); }},
+    {"fre", [](const Execution &E) { return E.fre(); }},
+    {"fri", [](const Execution &E) { return E.fri(); }},
+    {"com", [](const Execution &E) { return E.com(); }},
+    {"addr", [](const Execution &E) { return E.Addr; }},
+    {"data", [](const Execution &E) { return E.Data; }},
+    {"ctrl", [](const Execution &E) { return E.Ctrl; }},
+    {"ctrlisync", [](const Execution &E) { return E.CtrlCfence; }},
+    {"ctrlisb", [](const Execution &E) { return E.CtrlCfence; }},
+    {"id",
+     [](const Execution &E) { return Relation::identity(E.numEvents()); }},
+    {fence::Sync}, {fence::LwSync}, {fence::Eieio}, {fence::Dmb},
+    {fence::Dsb}, {fence::DmbSt}, {fence::DsbSt}, {fence::MFence},
+};
+constexpr unsigned NumBuiltins = std::size(Builtins);
+static_assert(NumBuiltins <= 64, "Env::Filled is one word");
+
+Relation builtinValue(const Execution &Exe, unsigned Slot) {
+  const Builtin &B = Builtins[Slot];
+  return B.Get ? B.Get(Exe) : Exe.fenceRelation(B.Name);
+}
+
+/// One run's values, one per slot. A builtin slot is filled on first use
+/// and marked in Filled; a binding's slot when its statement runs.
+struct Env {
+  const Execution &Exe;
+  std::vector<Relation> Values;
+  uint64_t Filled = 0;
+
+  const Relation &at(unsigned Slot) {
+    if (Slot < NumBuiltins && !(Filled >> Slot & 1)) {
+      Values[Slot] = builtinValue(Exe, Slot);
+      Filled |= uint64_t{1} << Slot;
     }
-    return nullptr;
+    return Values[Slot];
   }
-
-  void define(const std::string &Name, Relation R) {
-    Values[Name] = std::move(R);
-  }
-
-  const Execution &execution() const { return Exe; }
 
   /// Endpoint set by direction letter.
   EventSet dirSet(char Dir) const {
@@ -52,73 +85,14 @@ public:
       return EventSet::all(Exe.numEvents());
     }
   }
-
-private:
-  bool computeBuiltin(const std::string &Name) {
-    unsigned N = Exe.numEvents();
-    Relation R(N);
-    if (Name == "po")
-      R = Exe.Po;
-    else if (Name == "po-loc")
-      R = Exe.poLoc();
-    else if (Name == "rf")
-      R = Exe.Rf;
-    else if (Name == "rfe")
-      R = Exe.rfe();
-    else if (Name == "rfi")
-      R = Exe.rfi();
-    else if (Name == "co")
-      R = Exe.Co;
-    else if (Name == "coe")
-      R = Exe.coe();
-    else if (Name == "coi")
-      R = Exe.coi();
-    else if (Name == "fr")
-      R = Exe.fr();
-    else if (Name == "fre")
-      R = Exe.fre();
-    else if (Name == "fri")
-      R = Exe.fri();
-    else if (Name == "com")
-      R = Exe.com();
-    else if (Name == "addr")
-      R = Exe.Addr;
-    else if (Name == "data")
-      R = Exe.Data;
-    else if (Name == "ctrl")
-      R = Exe.Ctrl;
-    else if (Name == "ctrlisync" || Name == "ctrlisb")
-      R = Exe.CtrlCfence;
-    else if (Name == "id")
-      R = Relation::identity(N);
-    else if (Name == fence::Sync || Name == fence::LwSync ||
-             Name == fence::Eieio || Name == fence::Dmb ||
-             Name == fence::Dsb || Name == fence::DmbSt ||
-             Name == fence::DsbSt || Name == fence::MFence)
-      R = Exe.fenceRelation(Name);
-    else
-      return false;
-    Values.emplace(Name, std::move(R));
-    return true;
-  }
-
-  const Execution &Exe;
-  std::map<std::string, Relation> Values;
 };
 
-/// Evaluates \p E in \p Env; unknown names evaluate to the empty relation
-/// only inside fixpoint groups (handled by pre-defining them); otherwise
-/// they are a hard error surfaced at validation time.
 Relation evalExpr(const Expr &E, Env &Environment) {
-  unsigned N = Environment.execution().numEvents();
   switch (E.Kind) {
-  case ExprKind::Name: {
-    const Relation *R = Environment.lookup(E.Ident);
-    assert(R && "unresolved name should have been caught in validation");
-    return *R;
-  }
+  case ExprKind::Name:
+    return Environment.at(E.Slot);
   case ExprKind::Empty:
-    return Relation(N);
+    return Relation(Environment.Exe.numEvents());
   case ExprKind::Union:
     return evalExpr(*E.Lhs, Environment) | evalExpr(*E.Rhs, Environment);
   case ExprKind::Inter:
@@ -134,86 +108,74 @@ Relation evalExpr(const Expr &E, Env &Environment) {
     return evalExpr(*E.Lhs, Environment).reflexiveTransitiveClosure();
   case ExprKind::Inverse:
     return evalExpr(*E.Lhs, Environment).inverse();
-  case ExprKind::DirFilter: {
-    Relation Inner = evalExpr(*E.Lhs, Environment);
+  case ExprKind::DirFilter:
     assert(E.Ident.size() == 2 && "direction filter arity");
-    return Inner.restrict(Environment.dirSet(E.Ident[0]),
-                          Environment.dirSet(E.Ident[1]));
+    return evalExpr(*E.Lhs, Environment)
+        .restrict(Environment.dirSet(E.Ident[0]),
+                  Environment.dirSet(E.Ident[1]));
   }
-  }
-  return Relation(N);
+  return Relation(Environment.Exe.numEvents());
 }
 
-/// Collects free names of an expression.
-void freeNames(const Expr &E, std::vector<std::string> &Out) {
-  if (E.Kind == ExprKind::Name)
-    Out.push_back(E.Ident);
-  if (E.Lhs)
-    freeNames(*E.Lhs, Out);
-  if (E.Rhs)
-    freeNames(*E.Rhs, Out);
-}
-
-/// Static validation: every name used must be a builtin, a previous
-/// definition, or a member of the same let-rec group.
-Status validate(const CatFile &File) {
-  // The builtin vocabulary; must match Env::computeBuiltin.
-  std::vector<std::string> Known = {
-      "po",   "po-loc", "rf",        "rfe",     "rfi",   "co",
-      "coe",  "coi",    "fr",        "fre",     "fri",   "com",
-      "addr", "data",   "ctrl",      "ctrlisync", "ctrlisb", "id",
-      fence::Sync,  fence::LwSync, fence::Eieio, fence::Dmb,
-      fence::Dsb,   fence::DmbSt,  fence::DsbSt, fence::MFence};
-  auto IsKnown = [&Known](const std::string &Name) {
-    for (const std::string &K : Known)
-      if (K == Name)
-        return true;
-    return false;
-  };
-  for (const Stmt &S : File.Statements) {
-    std::vector<std::string> GroupNames;
-    if (S.Kind == StmtKind::LetRec)
-      for (const Binding &B : S.Bindings)
-        GroupNames.push_back(B.Name);
-    auto CheckExpr = [&](const Expr &E) -> Status {
-      std::vector<std::string> Names;
-      freeNames(E, Names);
-      for (const std::string &Name : Names) {
-        bool InGroup = false;
-        for (const std::string &G : GroupNames)
-          if (G == Name)
-            InGroup = true;
-        if (!InGroup && !IsKnown(Name))
-          return Status::error(strFormat(
-              "cat model %s: unknown relation '%s' at line %u",
-              File.Name.c_str(), Name.c_str(), E.Line));
-      }
-      return Status::success();
-    };
-    for (const Binding &B : S.Bindings) {
-      if (Status St = CheckExpr(*B.Body); St.failed())
-        return St;
-    }
-    if (S.Check)
-      if (Status St = CheckExpr(*S.Check); St.failed())
-        return St;
-    for (const Binding &B : S.Bindings)
-      Known.push_back(B.Name);
+/// Binds every Name in \p E to its slot in \p Scope; fails on the first
+/// unknown name, left to right.
+Status bindNames(Expr &E, const std::map<std::string, unsigned> &Scope,
+                 const std::string &Model) {
+  if (E.Kind == ExprKind::Name) {
+    auto It = Scope.find(E.Ident);
+    if (It == Scope.end())
+      return Status::error(
+          strFormat("cat model %s: unknown relation '%s' at line %u",
+                    Model.c_str(), E.Ident.c_str(), E.Line));
+    E.Slot = It->second;
   }
+  for (Expr *Child : {E.Lhs.get(), E.Rhs.get()})
+    if (Child)
+      if (Status St = bindNames(*Child, Scope, Model); St.failed())
+        return St;
   return Status::success();
 }
 
 } // namespace
+
+Status CatModel::resolve() {
+  for (unsigned I = 0; I < NumBuiltins; ++I)
+    Scope[Builtins[I].Name] = I;
+  NumSlots = NumBuiltins;
+  // A let rec group binds its members before its bodies resolve; a plain
+  // let group after, so its bodies all see the outer scope.
+  auto BindGroup = [this](Stmt &S) {
+    for (Binding &B : S.Bindings)
+      Scope[B.Name] = B.Slot = NumSlots++;
+  };
+  for (Stmt &S : File.Statements) {
+    if (S.Kind == StmtKind::LetRec)
+      BindGroup(S);
+    for (Binding &B : S.Bindings)
+      if (Status St = bindNames(*B.Body, Scope, File.Name); St.failed())
+        return St;
+    if (S.Kind == StmtKind::Let)
+      BindGroup(S);
+    if (S.Check) {
+      if (Status St = bindNames(*S.Check, Scope, File.Name); St.failed())
+        return St;
+      CheckNames.push_back(S.CheckName.empty() ? S.Check->toString()
+                                               : S.CheckName);
+    }
+  }
+  return Status::success();
+}
 
 Expected<CatModel> CatModel::fromSource(const std::string &Source,
                                         const std::string &Name) {
   auto File = parseCat(Source, Name);
   if (!File)
     return Expected<CatModel>::error(File.message());
-  Status St = validate(*File);
-  if (St.failed())
+  CatModel Model(File.take());
+  Model.Source = Source;
+  if (Status St = Model.resolve(); St.failed())
     return Expected<CatModel>::error(St.message());
-  return CatModel(File.take());
+  return Model;
 }
 
 Expected<CatModel> CatModel::fromFile(const std::string &Path) {
@@ -223,12 +185,9 @@ Expected<CatModel> CatModel::fromFile(const std::string &Path) {
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
   // Derive a display name from the file stem.
-  std::string Name = Path;
-  size_t Slash = Name.find_last_of('/');
-  if (Slash != std::string::npos)
-    Name = Name.substr(Slash + 1);
+  std::string Name = Path.substr(Path.find_last_of('/') + 1);
   if (endsWith(Name, ".cat"))
-    Name = Name.substr(0, Name.size() - 4);
+    Name.resize(Name.size() - 4);
   return fromSource(Buffer.str(), Name);
 }
 
@@ -236,28 +195,26 @@ Expected<CatModel> CatModel::builtin(const std::string &Stem) {
   return fromFile(std::string(CATS_MODELS_DIR) + "/" + Stem + ".cat");
 }
 
-std::vector<CheckResult> CatModel::check(const Execution &Exe) const {
-  std::vector<CheckResult> Results;
-  Env Environment(Exe);
+std::vector<Relation> CatModel::run(const Execution &Exe,
+                                    std::vector<CheckResult> *Checks) const {
+  Env Environment{Exe, std::vector<Relation>(NumSlots)};
+  size_t CheckIdx = 0;
   for (const Stmt &S : File.Statements) {
     switch (S.Kind) {
     case StmtKind::Let:
       for (const Binding &B : S.Bindings)
-        Environment.define(B.Name, evalExpr(*B.Body, Environment));
+        Environment.Values[B.Slot] = evalExpr(*B.Body, Environment);
       break;
     case StmtKind::LetRec: {
       // Least fixpoint: start the whole group at empty and iterate.
-      unsigned N = Exe.numEvents();
       for (const Binding &B : S.Bindings)
-        Environment.define(B.Name, Relation(N));
-      bool Changed = true;
-      while (Changed) {
+        Environment.Values[B.Slot] = Relation(Exe.numEvents());
+      for (bool Changed = true; Changed;) {
         Changed = false;
         for (const Binding &B : S.Bindings) {
           Relation NewValue = evalExpr(*B.Body, Environment);
-          const Relation *Old = Environment.lookup(B.Name);
-          if (*Old != NewValue) {
-            Environment.define(B.Name, std::move(NewValue));
+          if (Environment.Values[B.Slot] != NewValue) {
+            Environment.Values[B.Slot] = std::move(NewValue);
             Changed = true;
           }
         }
@@ -267,21 +224,24 @@ std::vector<CheckResult> CatModel::check(const Execution &Exe) const {
     case StmtKind::Acyclic:
     case StmtKind::Irreflexive:
     case StmtKind::Empty: {
+      if (!Checks)
+        break;
       Relation R = evalExpr(*S.Check, Environment);
-      CheckResult Result;
-      Result.Name =
-          S.CheckName.empty() ? S.Check->toString() : S.CheckName;
-      if (S.Kind == StmtKind::Acyclic)
-        Result.Holds = R.isAcyclic();
-      else if (S.Kind == StmtKind::Irreflexive)
-        Result.Holds = R.isIrreflexive();
-      else
-        Result.Holds = R.empty();
-      Results.push_back(std::move(Result));
+      bool Holds = S.Kind == StmtKind::Acyclic       ? R.isAcyclic()
+                   : S.Kind == StmtKind::Irreflexive ? R.isIrreflexive()
+                                                     : R.empty();
+      Checks->push_back({CheckNames[CheckIdx++], Holds});
       break;
     }
     }
   }
+  return std::move(Environment.Values);
+}
+
+std::vector<CheckResult> CatModel::check(const Execution &Exe) const {
+  std::vector<CheckResult> Results;
+  Results.reserve(CheckNames.size());
+  run(Exe, &Results);
   return Results;
 }
 
@@ -294,30 +254,15 @@ bool CatModel::allows(const Execution &Exe) const {
 
 Expected<Relation> CatModel::evaluate(const std::string &RelName,
                                       const Execution &Exe) const {
-  Env Environment(Exe);
-  for (const Stmt &S : File.Statements) {
-    if (S.Kind == StmtKind::Let) {
-      for (const Binding &B : S.Bindings)
-        Environment.define(B.Name, evalExpr(*B.Body, Environment));
-    } else if (S.Kind == StmtKind::LetRec) {
-      unsigned N = Exe.numEvents();
-      for (const Binding &B : S.Bindings)
-        Environment.define(B.Name, Relation(N));
-      bool Changed = true;
-      while (Changed) {
-        Changed = false;
-        for (const Binding &B : S.Bindings) {
-          Relation NewValue = evalExpr(*B.Body, Environment);
-          if (*Environment.lookup(B.Name) != NewValue) {
-            Environment.define(B.Name, std::move(NewValue));
-            Changed = true;
-          }
-        }
-      }
-    }
-  }
-  const Relation *R = Environment.lookup(RelName);
-  if (!R)
+  auto It = Scope.find(RelName);
+  if (It == Scope.end())
     return Expected<Relation>::error("unknown relation " + RelName);
-  return *R;
+  if (It->second < NumBuiltins)
+    return builtinValue(Exe, It->second);
+  return std::move(run(Exe, nullptr)[It->second]);
+}
+
+bool CatModel::defines(const std::string &RelName) const {
+  auto It = Scope.find(RelName);
+  return It != Scope.end() && It->second >= NumBuiltins;
 }

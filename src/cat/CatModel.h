@@ -11,16 +11,11 @@
 /// finite relation lattice, exactly as the ii/ic/ci/cc equations of Fig. 25
 /// require.
 ///
-/// Builtin relations available to models (all derived from the Execution):
-///
-///   po po-loc rf rfe rfi co coe coi fr fre fri com
-///   addr data ctrl ctrlisync ctrlisb
-///   sync lwsync eieio dmb dsb dmb.st dsb.st mfence
-///   id (identity over events)
-///
-/// Deviation from Fig. 38: the paper writes `ctrl+isync` for the
-/// control+control-fence relation; since `+` is the closure operator here,
-/// the builtin is spelled `ctrlisync` (and `ctrlisb` on ARM).
+/// Loading resolves every name once, lexically, to a slot: the builtin
+/// relations (one table in CatModel.cpp, derived from the Execution) take
+/// the first slots and each binding gets its own. A candidate is then
+/// judged over a slot-indexed environment with no name lookup at all
+/// (docs/cat-language.md has the scoping rules).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +26,7 @@
 #include "event/Execution.h"
 #include "support/Error.h"
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -46,8 +42,8 @@ struct CheckResult {
 /// A compiled cat model, ready to judge executions.
 class CatModel {
 public:
-  /// Parses and semantically validates \p Source (all names resolvable,
-  /// filters well-formed).
+  /// Parses \p Source and resolves every name in it; fails on the first
+  /// unknown one.
   static Expected<CatModel> fromSource(const std::string &Source,
                                        const std::string &Name);
 
@@ -60,21 +56,46 @@ public:
 
   const std::string &name() const { return File.Name; }
 
+  /// The text this model was compiled from.
+  const std::string &source() const { return Source; }
+
   /// Evaluates all checks; the execution is allowed iff all hold.
   std::vector<CheckResult> check(const Execution &Exe) const;
 
   /// True when every check holds on \p Exe.
   bool allows(const Execution &Exe) const;
 
-  /// Evaluates a defined or builtin relation by name on \p Exe (for tests
-  /// and debugging); fails for unknown names.
+  /// Evaluates a defined or builtin relation by name on \p Exe, as seen
+  /// after the file's last statement; fails for unknown names.
   Expected<Relation> evaluate(const std::string &RelName,
                               const Execution &Exe) const;
+
+  /// True when the file itself binds \p RelName (builtins excluded).
+  bool defines(const std::string &RelName) const;
+
+  /// The label of each check in file order: its "as" name, or its
+  /// expression text. check() reports results in the same order.
+  const std::vector<std::string> &checkNames() const { return CheckNames; }
 
 private:
   explicit CatModel(CatFile File) : File(std::move(File)) {}
 
+  /// Gives every binding a slot, binds every Name expression to one and
+  /// fills Scope, NumSlots and CheckNames.
+  Status resolve();
+
+  /// Runs the statements on \p Exe over a fresh slot environment and
+  /// returns its values. Checks run only when \p Checks is non-null and
+  /// append their results to it.
+  std::vector<Relation> run(const Execution &Exe,
+                            std::vector<CheckResult> *Checks) const;
+
   CatFile File;
+  std::string Source;
+  /// Name -> slot after the last statement.
+  std::map<std::string, unsigned> Scope;
+  unsigned NumSlots = 0;
+  std::vector<std::string> CheckNames;
 };
 
 } // namespace cat

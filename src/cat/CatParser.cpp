@@ -8,7 +8,10 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cctype>
+#include <iterator>
+#include <utility>
 
 using namespace cats;
 using namespace cats::cat;
@@ -36,6 +39,7 @@ std::unique_ptr<Expr> Expr::binary(ExprKind K, std::unique_ptr<Expr> L,
                                    std::unique_ptr<Expr> R, unsigned Line) {
   auto E = std::make_unique<Expr>();
   E->Kind = K;
+  E->Height = 1 + std::max(L->Height, R->Height);
   E->Lhs = std::move(L);
   E->Rhs = std::move(R);
   E->Line = Line;
@@ -46,6 +50,7 @@ std::unique_ptr<Expr> Expr::unary(ExprKind K, std::unique_ptr<Expr> L,
                                   unsigned Line) {
   auto E = std::make_unique<Expr>();
   E->Kind = K;
+  E->Height = 1 + L->Height;
   E->Lhs = std::move(L);
   E->Line = Line;
   return E;
@@ -56,6 +61,7 @@ std::unique_ptr<Expr> Expr::filter(std::string Dirs,
   auto E = std::make_unique<Expr>();
   E->Kind = ExprKind::DirFilter;
   E->Ident = std::move(Dirs);
+  E->Height = 1 + L->Height;
   E->Lhs = std::move(L);
   E->Line = Line;
   return E;
@@ -400,82 +406,70 @@ private:
   // Expressions
   //===--------------------------------------------------------------------===//
 
-  std::unique_ptr<Expr> parseExpr() { return parseUnion(); }
-
-  std::unique_ptr<Expr> parseUnion() {
-    auto L = parseInter();
-    if (!L)
-      return nullptr;
-    while (peek().Kind == TokKind::Pipe) {
-      unsigned Line = take().Line;
-      auto R = parseInter();
-      if (!R)
-        return nullptr;
-      L = Expr::binary(ExprKind::Union, std::move(L), std::move(R), Line);
-    }
-    return L;
+  std::unique_ptr<Expr> tooDeep() {
+    fail(strFormat("expression nested deeper than %u levels", MaxCatDepth));
+    return nullptr;
   }
 
-  std::unique_ptr<Expr> parseInter() {
-    auto L = parseDiff();
-    if (!L)
-      return nullptr;
-    while (peek().Kind == TokKind::Amp) {
-      unsigned Line = take().Line;
-      auto R = parseDiff();
-      if (!R)
-        return nullptr;
-      L = Expr::binary(ExprKind::Inter, std::move(L), std::move(R), Line);
-    }
-    return L;
+  /// \p E, or null with a diagnostic once it is taller than MaxCatDepth:
+  /// the resolver and the evaluator recurse on the tree.
+  std::unique_ptr<Expr> bounded(std::unique_ptr<Expr> E) {
+    if (E->Height > MaxCatDepth)
+      return tooDeep();
+    return E;
   }
 
-  std::unique_ptr<Expr> parseDiff() {
-    auto L = parseSeq();
-    if (!L)
-      return nullptr;
-    while (peek().Kind == TokKind::Backslash) {
-      unsigned Line = take().Line;
-      auto R = parseSeq();
-      if (!R)
-        return nullptr;
-      L = Expr::binary(ExprKind::Diff, std::move(L), std::move(R), Line);
-    }
-    return L;
+  /// Each parenthesis or filter call nests one level deeper, so the
+  /// parser's own recursion is bounded too.
+  std::unique_ptr<Expr> parseExpr() {
+    if (Nesting == MaxCatDepth)
+      return tooDeep();
+    ++Nesting;
+    auto E = parseBinary(0);
+    --Nesting;
+    return E;
   }
 
-  std::unique_ptr<Expr> parseSeq() {
-    auto L = parsePostfix();
-    if (!L)
-      return nullptr;
-    while (peek().Kind == TokKind::Semi) {
+  /// The binary operators, loosest first (see CatAst.h); every level is
+  /// left-associative.
+  static constexpr std::pair<TokKind, ExprKind> BinaryOps[] = {
+      {TokKind::Pipe, ExprKind::Union},
+      {TokKind::Amp, ExprKind::Inter},
+      {TokKind::Backslash, ExprKind::Diff},
+      {TokKind::Semi, ExprKind::Seq}};
+
+  /// Parses binary level \p Level and the tighter ones; past the last
+  /// level, a postfix expression.
+  std::unique_ptr<Expr> parseBinary(size_t Level) {
+    if (Level == std::size(BinaryOps))
+      return parsePostfix();
+    const auto [Op, Kind] = BinaryOps[Level];
+    auto L = parseBinary(Level + 1);
+    while (L && peek().Kind == Op) {
       unsigned Line = take().Line;
-      auto R = parsePostfix();
+      auto R = parseBinary(Level + 1);
       if (!R)
         return nullptr;
-      L = Expr::binary(ExprKind::Seq, std::move(L), std::move(R), Line);
+      L = bounded(Expr::binary(Kind, std::move(L), std::move(R), Line));
     }
     return L;
   }
 
   std::unique_ptr<Expr> parsePostfix() {
     auto L = parsePrimary();
-    if (!L)
-      return nullptr;
-    while (true) {
-      if (peek().Kind == TokKind::Plus) {
-        unsigned Line = take().Line;
-        L = Expr::unary(ExprKind::Plus, std::move(L), Line);
-      } else if (peek().Kind == TokKind::Star) {
-        unsigned Line = take().Line;
-        L = Expr::unary(ExprKind::Star, std::move(L), Line);
-      } else if (peek().Kind == TokKind::Tilde) {
-        unsigned Line = take().Line;
-        L = Expr::unary(ExprKind::Inverse, std::move(L), Line);
-      } else {
+    while (L) {
+      ExprKind Kind;
+      if (peek().Kind == TokKind::Plus)
+        Kind = ExprKind::Plus;
+      else if (peek().Kind == TokKind::Star)
+        Kind = ExprKind::Star;
+      else if (peek().Kind == TokKind::Tilde)
+        Kind = ExprKind::Inverse;
+      else
         return L;
-      }
+      L = bounded(Expr::unary(Kind, std::move(L), take().Line));
     }
+    return nullptr;
   }
 
   std::unique_ptr<Expr> parsePrimary() {
@@ -499,7 +493,7 @@ private:
           return nullptr;
         if (!expect(TokKind::RParen, "')'"))
           return nullptr;
-        return Expr::filter(Tok.Text, std::move(E), Tok.Line);
+        return bounded(Expr::filter(Tok.Text, std::move(E), Tok.Line));
       }
       return Expr::name(Tok.Text, Tok.Line);
     }
@@ -510,6 +504,8 @@ private:
   std::vector<Token> Tokens;
   std::string ModelName;
   size_t Cursor = 0;
+  /// parseExpr calls currently open.
+  unsigned Nesting = 0;
   std::string Error;
 };
 

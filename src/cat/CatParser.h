@@ -21,6 +21,10 @@
 namespace cats {
 namespace cat {
 
+/// The deepest expression (tree height, or parenthesis nesting) a cat file
+/// may hold, as for JSON; deeper input is an error, not a stack overflow.
+constexpr unsigned MaxCatDepth = 256;
+
 /// Parses cat source text; \p Name is used for diagnostics and as the
 /// model's display name.
 Expected<CatFile> parseCat(const std::string &Source,

@@ -12,12 +12,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "campaign/Merge.h"
+#include "cat/CatAdapter.h"
 #include "cat/CatModel.h"
 #include "cat/CatParser.h"
+#include "diy/Enumerate.h"
 #include "herd/Simulator.h"
 #include "litmus/Catalog.h"
 #include "model/HwModel.h"
 #include "model/Registry.h"
+#include "sweep/SweepEngine.h"
 
 #include <gtest/gtest.h>
 
@@ -126,6 +130,57 @@ TEST(CatValidate, ForwardReferenceOutsideRecRejected) {
 }
 
 //===----------------------------------------------------------------------===//
+// Hostile nesting: an error naming the line, never a stack overflow.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void expectTooDeep(const std::string &Expr) {
+  auto M = CatModel::fromSource("let x = po\nacyclic " + Expr + "\n", "deep");
+  ASSERT_FALSE(static_cast<bool>(M));
+  EXPECT_NE(M.message().find(
+                "at line 2: expression nested deeper than 256 levels"),
+            std::string::npos)
+      << M.message();
+}
+
+std::string repeat(const std::string &Piece, size_t Count) {
+  std::string Out;
+  Out.reserve(Piece.size() * Count);
+  for (size_t I = 0; I < Count; ++I)
+    Out += Piece;
+  return Out;
+}
+
+} // namespace
+
+TEST(CatDepth, DeepParenthesesRejected) {
+  expectTooDeep(repeat("(", 10000) + "po" + repeat(")", 10000));
+}
+
+TEST(CatDepth, LongUnionChainRejected) {
+  expectTooDeep("po" + repeat("|po", 100000));
+}
+
+TEST(CatDepth, LongPostfixChainRejected) {
+  expectTooDeep("po" + repeat("+", 100000));
+}
+
+TEST(CatDepth, ExpressionsAtTheBoundParse) {
+  // 255 parentheses inside the statement's own level; a 256-term chain is
+  // a tree of height 256.
+  for (const std::string &Expr :
+       {repeat("(", 255) + "po" + repeat(")", 255),
+        "po" + repeat("|po", 255), "po" + repeat("+", 255)}) {
+    auto M = CatModel::fromSource("acyclic " + Expr + "\n", "edge");
+    EXPECT_TRUE(static_cast<bool>(M)) << M.message();
+  }
+  expectTooDeep(repeat("(", 256) + "po" + repeat(")", 256));
+  expectTooDeep("po" + repeat("|po", 256));
+  expectTooDeep("po" + repeat("+", 256));
+}
+
+//===----------------------------------------------------------------------===//
 // Evaluation on a known execution
 //===----------------------------------------------------------------------===//
 
@@ -205,6 +260,36 @@ TEST(CatEval, ChecksReportNames) {
   EXPECT_EQ(Results[1].Name, "silly");
 }
 
+TEST(CatEval, LetAndIsSimultaneous) {
+  // The bodies of a plain let group see the outer scope: b's a is the
+  // earlier a (po), not its sibling (rf).
+  auto M = CatModel::fromSource("let a = po\nlet a = rf and b = a\n", "m");
+  ASSERT_TRUE(static_cast<bool>(M)) << M.message();
+  Candidate Witness = witnessOf("mp");
+  auto B = M->evaluate("b", Witness.Exe);
+  ASSERT_TRUE(static_cast<bool>(B)) << B.message();
+  EXPECT_EQ(*B, Witness.Exe.Po);
+  auto A = M->evaluate("a", Witness.Exe);
+  ASSERT_TRUE(static_cast<bool>(A)) << A.message();
+  EXPECT_EQ(*A, Witness.Exe.Rf);
+  // With no outer a, b's a names nothing.
+  auto Alone = CatModel::fromSource("let a = rf and b = a\n", "m");
+  ASSERT_FALSE(static_cast<bool>(Alone));
+  EXPECT_EQ(Alone.message(), "cat model m: unknown relation 'a' at line 1");
+}
+
+TEST(CatEval, RedefinitionShadowsLexically) {
+  auto M = CatModel::fromSource("let x = po\nlet y = x\nlet x = rf\n", "m");
+  ASSERT_TRUE(static_cast<bool>(M)) << M.message();
+  Candidate Witness = witnessOf("mp");
+  auto Y = M->evaluate("y", Witness.Exe);
+  ASSERT_TRUE(static_cast<bool>(Y)) << Y.message();
+  EXPECT_EQ(*Y, Witness.Exe.Po);
+  auto X = M->evaluate("x", Witness.Exe);
+  ASSERT_TRUE(static_cast<bool>(X)) << X.message();
+  EXPECT_EQ(*X, Witness.Exe.Rf);
+}
+
 TEST(CatEval, EmptyCheck) {
   auto M = CatModel::fromSource("empty po \\ po as nothing\n", "m");
   ASSERT_TRUE(static_cast<bool>(M)) << M.message();
@@ -253,6 +338,37 @@ TEST_P(CatCrossValidation, AgreesWithNativeModelOnCatalog) {
   }
 }
 
+namespace {
+
+std::string shippedModelPath(const std::string &Stem) {
+  return std::string(CATS_LITMUS_DIR) + "/../models/" + Stem + ".cat";
+}
+
+} // namespace
+
+TEST_P(CatCrossValidation, AdapterViolatesTheNativeAxioms) {
+  auto Cat = CatAdapterModel::fromFile(shippedModelPath(GetParam().Stem));
+  ASSERT_TRUE(static_cast<bool>(Cat)) << Cat.message();
+  const Model *Native = modelByName(GetParam().NativeName);
+  ASSERT_NE(Native, nullptr);
+  unsigned Compared = 0;
+  for (const CatalogEntry &Entry : figureCatalog()) {
+    auto Compiled = CompiledTest::compile(Entry.Test);
+    ASSERT_TRUE(static_cast<bool>(Compiled));
+    forEachCandidate(*Compiled, [&](const Candidate &Cand) {
+      if (!Cand.Consistent)
+        return true;
+      EXPECT_EQ(Cat->check(Cand.Exe).Violated,
+                Native->check(Cand.Exe).Violated)
+          << GetParam().Stem << " on " << Entry.Test.Name << "\n"
+          << Cand.Exe.toString();
+      ++Compared;
+      return true;
+    });
+  }
+  EXPECT_GT(Compared, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Models, CatCrossValidation,
     ::testing::Values(CrossCase{"sc", "SC"}, CrossCase{"tso", "TSO"},
@@ -266,6 +382,92 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return Name;
     });
+
+//===----------------------------------------------------------------------===//
+// The adapter through the engine: what e2ebench runs, on a smaller corpus.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The catalogue, or the first 150 size-5 Power diy tests.
+std::vector<LitmusTest> engineCorpus(bool Catalogue) {
+  std::vector<LitmusTest> Tests;
+  if (Catalogue) {
+    for (const CatalogEntry &Entry : figureCatalog())
+      Tests.push_back(Entry.Test);
+    return Tests;
+  }
+  EnumerateOptions Opts;
+  Opts.Target = Arch::Power;
+  Opts.MinEdges = Opts.MaxEdges = 5;
+  Opts.Limit = 150;
+  auto Source = makeDiyTestSource(Opts);
+  EXPECT_TRUE(static_cast<bool>(Source)) << Source.message();
+  for (LitmusTest Test; Source && (*Source)(Test);)
+    Tests.push_back(Test);
+  return Tests;
+}
+
+/// Loads models/<stem>.cat for each stem.
+std::vector<CatAdapterModel> loadAdapters(std::vector<std::string> Stems) {
+  std::vector<CatAdapterModel> Out;
+  for (const std::string &Stem : Stems) {
+    auto M = CatAdapterModel::fromFile(shippedModelPath(Stem));
+    EXPECT_TRUE(static_cast<bool>(M)) << M.message();
+    if (M)
+      Out.push_back(M.take());
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(CatAdapterEngine, SimulateAllMatchesNativeTwins) {
+  const std::vector<CatAdapterModel> Cats =
+      loadAdapters({"sc", "tso", "cxx-ra", "power", "arm", "arm-llh"});
+  ASSERT_EQ(Cats.size(), 6u);
+  std::vector<const Model *> CatModels, Natives;
+  for (const CatAdapterModel &M : Cats)
+    CatModels.push_back(&M);
+  for (const char *Name : {"SC", "TSO", "C++RA", "Power", "ARM", "ARM llh"})
+    Natives.push_back(modelByName(Name));
+  for (bool Catalogue : {true, false}) {
+    const std::vector<LitmusTest> Tests = engineCorpus(Catalogue);
+    ASSERT_GT(Tests.size(), 40u);
+    for (const LitmusTest &Test : Tests) {
+      auto Compiled = CompiledTest::compile(Test);
+      ASSERT_TRUE(static_cast<bool>(Compiled)) << Test.Name;
+      const MultiSimulationResult FromCat = simulateAll(*Compiled, CatModels);
+      const MultiSimulationResult FromNative = simulateAll(*Compiled, Natives);
+      for (size_t I = 0; I < Cats.size(); ++I) {
+        const SimulationResult &C = FromCat.PerModel[I];
+        const SimulationResult &N = FromNative.PerModel[I];
+        const std::string Where = Test.Name + " under " + C.ModelName;
+        EXPECT_STREQ(C.verdict(), N.verdict()) << Where;
+        EXPECT_EQ(C.CandidatesAllowed, N.CandidatesAllowed) << Where;
+        EXPECT_TRUE(C.AllowedOutcomes == N.AllowedOutcomes) << Where;
+      }
+    }
+  }
+}
+
+TEST(CatAdapterEngine, SweepIsWorkerCountInvariant) {
+  const std::vector<CatAdapterModel> Cats =
+      loadAdapters({"sc", "tso", "cxx-ra", "power", "power-nodetour", "arm",
+                    "arm-llh"});
+  ASSERT_EQ(Cats.size(), 7u);
+  std::vector<const Model *> Models;
+  for (const CatAdapterModel &M : Cats)
+    Models.push_back(&M);
+  const std::vector<SweepJob> Jobs = makeJobs(engineCorpus(false), Models);
+  SweepReport One = SweepEngine({1}).run(Jobs);
+  SweepReport Four = SweepEngine({4}).run(Jobs);
+  ASSERT_TRUE(One.allOk());
+  ASSERT_TRUE(Four.allOk());
+  One.Jobs = Four.Jobs = 1; // The one field that names the worker count.
+  EXPECT_EQ(zeroWallTimes(sweepReportToJson(Four)).dump(),
+            zeroWallTimes(sweepReportToJson(One)).dump());
+}
 
 TEST(CatBuiltin, MissingModelFileFails) {
   auto M = CatModel::builtin("no-such-model");
